@@ -18,21 +18,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Shared-page layout: the beat counter at offset 0, the phase byte at
-// offset 64 (its own cache line, so the parent's reads never contend with
-// the simulation's beat bumps).
-constexpr std::size_t kBeatsOffset = 0;
-constexpr std::size_t kPhaseOffset = 64;
+// The shared page holds one byte: the child's phase.
 constexpr std::size_t kPageBytes = 4096;
 
-std::atomic<std::uint64_t>* beats_slot(void* page) {
-  return reinterpret_cast<std::atomic<std::uint64_t>*>(
-      static_cast<char*>(page) + kBeatsOffset);
-}
-
 std::atomic<std::uint8_t>* phase_slot(void* page) {
-  return reinterpret_cast<std::atomic<std::uint8_t>*>(
-      static_cast<char*>(page) + kPhaseOffset);
+  return static_cast<std::atomic<std::uint8_t>*>(page);
 }
 
 // Frame wire format, little-endian, written in one buffer so the child
@@ -179,19 +169,16 @@ void Heartbeat::set_phase(ChildPhase phase) {
                            std::memory_order_release);
 }
 
-std::atomic<std::uint64_t>* Heartbeat::beats() { return beats_slot(page_); }
-
 ChildOutcome run_isolated(const IsolationLimits& limits,
                           const std::atomic<bool>* interrupt,
                           const std::function<ChildFrame(Heartbeat&)>& fn) {
   // The heartbeat page is MAP_SHARED so the parent still sees the child's
-  // final beat/phase after the child is gone.
+  // final phase after the child is gone.
   void* page = ::mmap(nullptr, kPageBytes, PROT_READ | PROT_WRITE,
                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   MOCA_CHECK_MSG(page != MAP_FAILED,
                  "isolation: mmap of the heartbeat page failed (errno "
                      << errno << ")");
-  beats_slot(page)->store(0, std::memory_order_relaxed);
   phase_slot(page)->store(static_cast<std::uint8_t>(ChildPhase::kSpawned),
                           std::memory_order_relaxed);
 
@@ -290,7 +277,6 @@ ChildOutcome run_isolated(const IsolationLimits& limits,
   while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
   }
 
-  outcome.beats = beats_slot(page)->load(std::memory_order_relaxed);
   outcome.last_phase = static_cast<ChildPhase>(
       phase_slot(page)->load(std::memory_order_acquire));
   ::munmap(page, kPageBytes);

@@ -1,7 +1,7 @@
 // Process isolation for supervised sweep cells (POSIX fork/waitpid).
 //
 // The supervisor's in-process supervision is cooperative: a timeout only
-// works if the simulation reaches its cancel poll, and nothing survives a
+// works if the simulation reaches its stop poll, and nothing survives a
 // SIGSEGV, a sanitizer abort or the kernel OOM killer — one bad cell takes
 // the whole sweep with it. run_isolated closes that gap by running one
 // cell's work in a forked child:
@@ -16,9 +16,9 @@
 //   resource caps RLIMIT_AS / RLIMIT_CPU are applied inside the child
 //                 before any work runs, so a runaway cell cannot take the
 //                 host down with it.
-//   fingerprint   a shared-memory heartbeat page carries the child's beat
-//                 counter and coarse phase; on a crash the parent reads
-//                 the last phase back as part of the crash fingerprint.
+//   fingerprint   a shared-memory heartbeat page carries the child's
+//                 coarse phase; on a crash the parent reads the last phase
+//                 back as part of the crash fingerprint.
 //
 // Results cross a pipe as one length-prefixed frame (ChildFrame) written
 // by the child immediately before _exit(0). The frame carries the cell's
@@ -67,8 +67,7 @@ struct ChildFrame {
     kOk = 0,         // outcome_json carries the finished cell
     kFailed = 1,     // permanent failure, error carries what()
     kRetryable = 2,  // RetryableError: the parent may re-spawn the cell
-    kCancelled = 3,  // CancelledError (cooperative cancel inside the child)
-    kOom = 4,        // std::bad_alloc: the memory cap was hit cleanly
+    kOom = 3,        // std::bad_alloc: the memory cap was hit cleanly
   };
   Kind kind = Kind::kFailed;
   std::string error;         // failure text when kind != kOk
@@ -91,14 +90,12 @@ struct ChildOutcome {
   int exit_code = 0;  // WEXITSTATUS when the child exited
   int signal = 0;     // terminating signal when the child was signaled
   ChildPhase last_phase = ChildPhase::kSpawned;  // from the heartbeat page
-  std::uint64_t beats = 0;  // heartbeat count at the end (host-timing-
-                            // dependent: never serialized)
-  ChildFrame frame;         // valid when status == kDelivered
+  ChildFrame frame;  // valid when status == kDelivered
 };
 
-/// Child-side view of the shared heartbeat page. Passed to the callback;
-/// point SystemOptions::heartbeat at beats() and publish phases as work
-/// progresses. The parent reads both fields after the child is gone.
+/// Child-side view of the shared heartbeat page. Passed to the callback,
+/// which publishes phases as work progresses; the parent reads the last
+/// one after the child is gone.
 class Heartbeat {
  public:
   explicit Heartbeat(void* page);
@@ -106,11 +103,7 @@ class Heartbeat {
   /// Publishes the child's coarse phase (monotonic by convention).
   void set_phase(ChildPhase phase);
 
-  /// The beat counter the simulation bumps at its cancel-poll cadence.
-  [[nodiscard]] std::atomic<std::uint64_t>* beats();
-
  private:
-  friend struct HeartbeatReader;
   void* page_;
 };
 

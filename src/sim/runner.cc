@@ -113,11 +113,10 @@ MemSystemConfig memsys_for(SystemChoice choice, const Experiment& experiment) {
   return {};
 }
 
-RunResult run_workload(const std::vector<std::string>& app_names,
-                       SystemChoice choice,
-                       const std::map<std::string, core::ClassifiedApp>& db,
-                       const Experiment& experiment) {
-  MOCA_CHECK(!app_names.empty());
+namespace {
+
+/// Options every measured run shares (profiling runs build their own).
+SystemOptions measured_options(const Experiment& experiment) {
   SystemOptions options;
   options.instructions_per_core = experiment.instructions;
   options.warmup_instructions = experiment.effective_warmup();
@@ -127,9 +126,15 @@ RunResult run_workload(const std::vector<std::string>& app_names,
   options.fault_seed = experiment.ref_seed;
   options.fault_attempt = experiment.fault_attempt;
   options.fault_cell = experiment.fault_cell;
-  options.cancel = experiment.cancel;
-  options.heartbeat = experiment.heartbeat;
+  return options;
+}
 
+/// One reference-input instance per app, one per core, classified from
+/// `db` (apps missing from it run unclassified).
+std::vector<AppInstance> reference_apps(
+    const std::vector<std::string>& app_names, const Experiment& experiment,
+    const std::map<std::string, core::ClassifiedApp>& db) {
+  MOCA_CHECK(!app_names.empty());
   std::vector<AppInstance> instances;
   for (std::size_t i = 0; i < app_names.size(); ++i) {
     AppInstance inst;
@@ -141,10 +146,20 @@ RunResult run_workload(const std::vector<std::string>& app_names,
     }
     instances.push_back(std::move(inst));
   }
+  return instances;
+}
 
+}  // namespace
+
+RunResult run_workload(const std::vector<std::string>& app_names,
+                       SystemChoice choice,
+                       const std::map<std::string, core::ClassifiedApp>& db,
+                       const Experiment& experiment,
+                       const RunContext& context) {
   System system(memsys_for(choice, experiment), make_policy(choice),
-                std::move(instances), options);
-  return system.run();
+                reference_apps(app_names, experiment, db),
+                measured_options(experiment));
+  return system.run(context);
 }
 
 RunResult run_single(const std::string& app_name, SystemChoice choice,
@@ -156,31 +171,12 @@ RunResult run_single(const std::string& app_name, SystemChoice choice,
 RunResult run_workload_with_migration(
     const std::vector<std::string>& app_names, const Experiment& experiment,
     const os::MigrationConfig& migration) {
-  MOCA_CHECK(!app_names.empty());
-  SystemOptions options;
-  options.instructions_per_core = experiment.instructions;
-  options.warmup_instructions = experiment.effective_warmup();
-  options.observability = experiment.observability;
-  options.adaptive = experiment.adaptive;
+  SystemOptions options = measured_options(experiment);
   options.migration = migration;
-  options.faults = experiment.faults;
-  options.fault_seed = experiment.ref_seed;
-  options.fault_attempt = experiment.fault_attempt;
-  options.fault_cell = experiment.fault_cell;
-  options.cancel = experiment.cancel;
-  options.heartbeat = experiment.heartbeat;
-
-  std::vector<AppInstance> instances;
-  for (std::size_t i = 0; i < app_names.size(); ++i) {
-    AppInstance inst;
-    inst.spec = workload::app_by_name(app_names[i]);
-    inst.seed = experiment.ref_seed + 7919 * (i + 1);
-    inst.scale = experiment.ref_scale;
-    instances.push_back(std::move(inst));
-  }
+  // The migration baseline places by first touch: every app unclassified.
   System system(heterogeneous(experiment.hetero_config),
                 std::make_unique<core::InterleavedPolicy>(),
-                std::move(instances), options);
+                reference_apps(app_names, experiment, {}), options);
   return system.run();
 }
 

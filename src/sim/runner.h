@@ -2,7 +2,6 @@
 // profile -> classify -> run under each memory system / policy.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -31,7 +30,8 @@ enum class SystemChoice {
 [[nodiscard]] std::string to_string(SystemChoice choice);
 [[nodiscard]] std::vector<SystemChoice> all_system_choices();
 
-/// Shared experiment settings.
+/// Shared experiment settings: pure configuration, copied into every sweep
+/// job. Host-side stop conditions travel separately as a RunContext.
 struct Experiment {
   std::uint64_t instructions = 1'000'000;
   /// Warm-up instructions before counters reset; 0 = derive from
@@ -66,14 +66,6 @@ struct Experiment {
   /// Sweep-cell index gating `cell=n` fault clauses; set by the sweep
   /// runner / supervisor (non-sweep runs stay at 0).
   std::uint64_t fault_cell = 0;
-  /// Cooperative cancellation flag polled inside System::run; when it
-  /// becomes true the run throws CancelledError. Null = never cancelled.
-  /// Set by the supervisor's per-job watchdog, not by end users.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Liveness heartbeat bumped at the same poll cadence as `cancel`; an
-  /// isolated child points this into a shared page so the parent can tell
-  /// "slow" from "wedged". Null = no heartbeat.
-  std::atomic<std::uint64_t>* heartbeat = nullptr;
 
   /// Warm-up used by the runner: a quarter of the measured window, clamped
   /// to [20K, 250K] instructions — enough to fill the caches' resident
@@ -110,11 +102,12 @@ struct Experiment {
                                          const Experiment& experiment);
 
 /// Runs a workload (1..N apps on as many cores) under one system choice
-/// with reference inputs.
+/// with reference inputs. `context` carries the supervisor's deadline and
+/// interrupt flag; the run throws CancelledError when either fires.
 [[nodiscard]] RunResult run_workload(
     const std::vector<std::string>& app_names, SystemChoice choice,
     const std::map<std::string, core::ClassifiedApp>& db,
-    const Experiment& experiment);
+    const Experiment& experiment, const RunContext& context = {});
 
 /// Convenience: single-application run (Figs. 8/9).
 [[nodiscard]] RunResult run_single(

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -26,6 +25,7 @@ namespace moca::sim {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using ProfileDb = std::map<std::string, core::ClassifiedApp>;
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -78,106 +78,173 @@ bool extract_token(const std::string& json, const std::string& key,
   return true;
 }
 
-}  // namespace
+bool interrupted(const std::atomic<bool>* flag) {
+  return flag != nullptr && flag->load(std::memory_order_relaxed);
+}
 
-/// Single background thread tracking armed deadlines; fires by flipping
-/// each job's cancellation flag (the simulation notices at its next
-/// cooperative poll). One watchdog serves every concurrent worker: arm()
-/// and disarm() are O(armed jobs), which is bounded by the pool size.
-/// When an interrupt flag is configured the loop also polls it and fires
-/// every armed entry the moment it goes true, so a SIGINT cancels running
-/// cells instead of waiting out their deadlines.
-class SweepSupervisor::Watchdog {
- public:
-  explicit Watchdog(const std::atomic<bool>* interrupt = nullptr)
-      : interrupt_(interrupt), thread_([this] { loop(); }) {}
-
-  ~Watchdog() {
-    {
-      std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  /// timeout_ms <= 0 arms with no deadline (interrupt-fire only).
-  [[nodiscard]] std::uint64_t arm(std::atomic<bool>* flag, double timeout_ms) {
-    const auto deadline =
-        timeout_ms <= 0.0
-            ? Clock::time_point::max()
-            : Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double, std::milli>(
-                                     timeout_ms));
-    std::uint64_t id = 0;
-    {
-      std::lock_guard lock(mutex_);
-      id = next_id_++;
-      entries_.push_back(Entry{id, deadline, flag});
-    }
-    cv_.notify_all();
-    return id;
-  }
-
-  void disarm(std::uint64_t id) {
-    std::lock_guard lock(mutex_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].id == id) {
-        entries_[i] = entries_.back();
-        entries_.pop_back();
-        return;
-      }
-    }
-  }
-
- private:
-  struct Entry {
-    std::uint64_t id = 0;
-    Clock::time_point deadline;
-    std::atomic<bool>* flag = nullptr;
-  };
-
-  void loop() {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      if (stop_) return;
-      const auto now = Clock::now();
-      const bool interrupted =
-          interrupt_ != nullptr &&
-          interrupt_->load(std::memory_order_relaxed);
-      Clock::time_point earliest = Clock::time_point::max();
-      for (std::size_t i = 0; i < entries_.size();) {
-        if (interrupted || entries_[i].deadline <= now) {
-          entries_[i].flag->store(true, std::memory_order_relaxed);
-          entries_[i] = entries_.back();
-          entries_.pop_back();
-        } else {
-          earliest = std::min(earliest, entries_[i].deadline);
-          ++i;
-        }
-      }
-      // With an interrupt flag to poll, never sleep longer than its poll
-      // granularity; without one, sleep until the earliest deadline.
-      if (interrupt_ != nullptr) {
-        earliest = std::min(earliest,
-                            now + std::chrono::milliseconds(50));
-      }
-      if (entries_.empty() && interrupt_ == nullptr) {
-        cv_.wait(lock);
-      } else {
-        cv_.wait_until(lock, earliest);
-      }
-    }
-  }
-
-  const std::atomic<bool>* interrupt_ = nullptr;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<Entry> entries_;
-  std::uint64_t next_id_ = 1;
-  bool stop_ = false;
-  std::thread thread_;
+/// One attempt's verdict. Each attempt starts from a fresh one, so nothing
+/// an earlier attempt decided (a crash fingerprint, an error) leaks into
+/// the cell's final outcome.
+struct Attempt {
+  SweepOutcome out;
+  bool retryable = false;  // the ladder may spend another attempt
+  std::string json;  // isolated ok cells: the child's verbatim serialization
 };
+
+/// The attempt step both modes share: run_workload under `context`, with
+/// stops and retryable errors classified. Any other exception propagates;
+/// the in-process caller reports it as failed, an isolated child's frame
+/// as failed or (bad_alloc) oom.
+Attempt run_attempt(std::size_t cell, std::uint32_t ordinal,
+                    const SweepJob& job, const ProfileDb& db,
+                    const RunContext& context) {
+  Attempt attempt;
+  SweepOutcome& out = attempt.out;
+  Experiment experiment = job.experiment;
+  experiment.fault_attempt = ordinal;
+  experiment.fault_cell = cell;
+  try {
+    out.result = run_workload(job.apps, job.choice, db, experiment, context);
+    out.ok = true;
+  } catch (const CancelledError& e) {
+    if (interrupted(context.interrupt)) {
+      out.kind = SweepOutcome::FailureKind::kInterrupted;
+      out.error = "sweep interrupted";
+    } else {
+      // Timeouts never retry: a wedged configuration wedges every attempt
+      // and the budget is better spent on the remaining cells.
+      out.kind = SweepOutcome::FailureKind::kTimedOut;
+      out.error = e.what();
+    }
+  } catch (const RetryableError& e) {
+    out.kind = SweepOutcome::FailureKind::kQuarantined;
+    out.error = e.what();
+    attempt.retryable = true;
+  }
+  return attempt;
+}
+
+Attempt attempt_in_process(const SupervisorOptions& options, std::size_t cell,
+                           std::uint32_t ordinal, const SweepJob& job,
+                           const ProfileDb& db) {
+  RunContext context;
+  context.interrupt = options.interrupt;
+  if (options.timeout_ms > 0.0) {
+    context.deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double, std::milli>(
+                               options.timeout_ms));
+  }
+  try {
+    return run_attempt(cell, ordinal, job, db, context);
+  } catch (const std::exception& e) {
+    Attempt attempt;
+    attempt.out.kind = SweepOutcome::FailureKind::kFailed;
+    attempt.out.error = e.what();
+    return attempt;
+  }
+}
+
+/// Runs the attempt step in a forked child with no stop conditions (the
+/// parent enforces the deadline and the interrupt by SIGKILL), then
+/// decodes the child's fate; docs/robustness.md has the user-facing table.
+Attempt attempt_isolated(const SupervisorOptions& options, std::size_t cell,
+                         std::uint32_t ordinal, const SweepJob& job,
+                         const ProfileDb& db) {
+  IsolationLimits limits;
+  limits.deadline_ms = options.timeout_ms;
+  limits.rlimit_as_bytes = options.rlimit_as_bytes;
+  limits.rlimit_cpu_seconds = options.rlimit_cpu_seconds;
+  const ChildOutcome child = run_isolated(
+      limits, options.interrupt, [&](Heartbeat& heartbeat) {
+        heartbeat.set_phase(ChildPhase::kRunning);
+        Attempt attempt = run_attempt(cell, ordinal, job, db, {});
+        heartbeat.set_phase(ChildPhase::kReporting);
+        ChildFrame frame;
+        if (attempt.out.ok) {
+          // The child's own deterministic serialization crosses the pipe,
+          // so the parent splices it verbatim and the merge stays
+          // byte-identical to in-process execution by construction.
+          SweepOutcome& out = attempt.out;
+          out.job_id = cell;
+          out.label = job.label;
+          out.attempts = ordinal + 1;
+          frame.kind = ChildFrame::Kind::kOk;
+          frame.outcome_json = to_deterministic_json(out);
+          frame.total_instructions = out.result.total_instructions;
+        } else {
+          // Without stop conditions the only failure run_attempt returns
+          // is a retryable one; others are framed by run_isolated.
+          frame.kind = ChildFrame::Kind::kRetryable;
+          frame.error = attempt.out.error;
+        }
+        return frame;
+      });
+
+  Attempt attempt;
+  SweepOutcome& out = attempt.out;
+  switch (child.status) {
+    case ChildOutcome::Status::kDelivered:
+      out.error = child.frame.error;
+      switch (child.frame.kind) {
+        case ChildFrame::Kind::kOk:
+          out.ok = true;
+          out.result.total_instructions = child.frame.total_instructions;
+          attempt.json = child.frame.outcome_json;
+          break;
+        case ChildFrame::Kind::kRetryable:
+          out.kind = SweepOutcome::FailureKind::kQuarantined;
+          attempt.retryable = true;
+          break;
+        case ChildFrame::Kind::kOom:
+          // The cap was hit cleanly (allocator threw before the kernel
+          // had to step in). Transient by the same logic as a crash:
+          // attempts=k fault clauses model recoverable pressure.
+          out.kind = SweepOutcome::FailureKind::kOomKilled;
+          attempt.retryable = true;
+          break;
+        case ChildFrame::Kind::kFailed:
+          out.kind = SweepOutcome::FailureKind::kFailed;
+          break;
+      }
+      break;
+    case ChildOutcome::Status::kCrashed:
+      // An un-asked-for SIGKILL is the kernel OOM killer's signature
+      // (the parent only SIGKILLs for deadline/interrupt, decoded
+      // separately); everything else is a crash.
+      out.kind = child.signal == SIGKILL
+                     ? SweepOutcome::FailureKind::kOomKilled
+                     : SweepOutcome::FailureKind::kCrashed;
+      out.crash_signal = child.signal;
+      out.crash_phase = to_string(child.last_phase);
+      out.error = "isolated child died with signal " +
+                  std::to_string(child.signal) + " in phase " +
+                  out.crash_phase;
+      attempt.retryable = true;
+      break;
+    case ChildOutcome::Status::kDeadline:
+      // Deadlines never retry, same policy as in-process timeouts. Static
+      // text: no wall-clock values, so the outcome bytes stay
+      // deterministic.
+      out.kind = SweepOutcome::FailureKind::kTimedOut;
+      out.error = "isolated child exceeded its wall-clock deadline "
+                  "(SIGKILL)";
+      break;
+    case ChildOutcome::Status::kInterrupted:
+      out.kind = SweepOutcome::FailureKind::kInterrupted;
+      out.error = "sweep interrupted";
+      break;
+    case ChildOutcome::Status::kExited:
+      out.kind = SweepOutcome::FailureKind::kFailed;
+      out.error = "isolated child exited with code " +
+                  std::to_string(child.exit_code) +
+                  " without a result frame";
+      break;
+  }
+  return attempt;
+}
+
+}  // namespace
 
 std::string sweep_fingerprint(const std::vector<SweepJob>& jobs) {
   // Serialize everything that determines a cell's simulated result into a
@@ -223,23 +290,17 @@ SweepSupervisor::SweepSupervisor(SweepRunner& runner,
   MOCA_CHECK_MSG(!options_.resume || !options_.journal_path.empty(),
                  "supervisor: resume requires a journal path");
   if (options_.max_attempts == 0) options_.max_attempts = 1;
-  if (options_.isolate) {
-    // Isolated cells are supervised by the parent's poll loop (deadline +
-    // interrupt both handled in run_isolated), so no watchdog thread. The
-    // CPU rlimit defaults to a generous multiple of the wall deadline as
-    // a backstop against a child that wedges while burning CPU faster
-    // than wall time (the wall SIGKILL normally fires first).
-    if (options_.rlimit_cpu_seconds == 0 && options_.timeout_ms > 0.0) {
-      options_.rlimit_cpu_seconds =
-          static_cast<std::uint64_t>(std::ceil(options_.timeout_ms / 250.0)) +
-          5;
-    }
-  } else if (options_.timeout_ms > 0.0 || options_.interrupt != nullptr) {
-    watchdog_ = std::make_unique<Watchdog>(options_.interrupt);
+  // Isolated cells: the CPU rlimit defaults to a generous multiple of the
+  // wall deadline as a backstop against a child that wedges while burning
+  // CPU faster than wall time (the parent's wall SIGKILL normally fires
+  // first).
+  if (options_.isolate && options_.rlimit_cpu_seconds == 0 &&
+      options_.timeout_ms > 0.0) {
+    options_.rlimit_cpu_seconds =
+        static_cast<std::uint64_t>(std::ceil(options_.timeout_ms / 250.0)) +
+        5;
   }
 }
-
-SweepSupervisor::~SweepSupervisor() = default;
 
 void SweepSupervisor::load_journal(std::size_t job_count,
                                    std::vector<std::string>& cached,
@@ -347,251 +408,42 @@ void SweepSupervisor::load_journal(std::size_t job_count,
 }
 
 SweepOutcome SweepSupervisor::supervise_cell(
-    std::size_t cell, const SweepJob& job,
-    const std::map<std::string, core::ClassifiedApp>& db) {
-  SweepOutcome out;
-  out.job_id = cell;
-  out.label = job.label;
+    std::size_t cell, const SweepJob& job, const ProfileDb& db,
+    std::string& outcome_json) const {
   const double start = now_ms();
-  const auto interrupted = [this] {
-    return options_.interrupt != nullptr &&
-           options_.interrupt->load(std::memory_order_relaxed);
-  };
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (interrupted()) {
-      out.ok = false;
-      out.kind = SweepOutcome::FailureKind::kInterrupted;
-      out.error = "sweep interrupted";
-      break;
+  Attempt attempt;
+  std::uint32_t ordinal = 0;
+  for (;; ++ordinal) {
+    if (interrupted(options_.interrupt)) {
+      attempt = Attempt{};
+      attempt.out.kind = SweepOutcome::FailureKind::kInterrupted;
+      attempt.out.error = "sweep interrupted";
+    } else if (options_.isolate) {
+      attempt = attempt_isolated(options_, cell, ordinal, job, db);
+    } else {
+      attempt = attempt_in_process(options_, cell, ordinal, job, db);
     }
-    Experiment experiment = job.experiment;
-    experiment.fault_attempt = attempt;
-    experiment.fault_cell = cell;
-    std::atomic<bool> cancel{false};
-    std::uint64_t token = 0;
-    if (watchdog_ != nullptr) {
-      experiment.cancel = &cancel;
-      token = watchdog_->arm(&cancel, options_.timeout_ms);
-    }
-    try {
-      out.result = run_workload(job.apps, job.choice, db, experiment);
-      if (token != 0) watchdog_->disarm(token);
-      out.ok = true;
-      out.kind = SweepOutcome::FailureKind::kNone;
-      out.error.clear();
-      break;
-    } catch (const CancelledError& e) {
-      if (token != 0) watchdog_->disarm(token);
-      out.ok = false;
-      if (interrupted()) {
-        // The watchdog fired because the sweep is being stopped, not
-        // because this cell overran its budget.
-        out.kind = SweepOutcome::FailureKind::kInterrupted;
-        out.error = "sweep interrupted";
-        break;
-      }
-      // Timeouts never retry: a wedged configuration wedges every attempt
-      // and the budget is better spent on the remaining cells.
-      out.kind = SweepOutcome::FailureKind::kTimedOut;
-      out.error = e.what();
-      break;
-    } catch (const RetryableError& e) {
-      if (token != 0) watchdog_->disarm(token);
-      out.ok = false;
-      out.error = e.what();
-      if (attempt + 1 >= options_.max_attempts) {
-        out.kind = SweepOutcome::FailureKind::kQuarantined;
-        break;
-      }
-      if (options_.backoff_ms > 0.0) {
-        const double delay = options_.backoff_ms *
-                             static_cast<double>(std::uint64_t{1} << attempt);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay));
-      }
-      ++attempt;
-      continue;
-    } catch (const std::exception& e) {
-      if (token != 0) watchdog_->disarm(token);
-      out.ok = false;
-      out.kind = SweepOutcome::FailureKind::kFailed;
-      out.error = e.what();
-      break;
-    }
-  }
-  out.attempts = attempt + 1;
-  out.wall_ms = now_ms() - start;
-  if (out.ok && out.wall_ms > 0.0) {
-    out.sim_instr_per_sec =
-        static_cast<double>(out.result.total_instructions) /
-        (out.wall_ms * 1e-3);
-  }
-  return out;
-}
-
-SweepOutcome SweepSupervisor::supervise_cell_isolated(
-    std::size_t cell, const SweepJob& job,
-    const std::map<std::string, core::ClassifiedApp>& db,
-    std::string& outcome_json) {
-  SweepOutcome out;
-  out.job_id = cell;
-  out.label = job.label;
-  const double start = now_ms();
-  const auto interrupted = [this] {
-    return options_.interrupt != nullptr &&
-           options_.interrupt->load(std::memory_order_relaxed);
-  };
-
-  IsolationLimits limits;
-  limits.deadline_ms = options_.timeout_ms;
-  limits.rlimit_as_bytes = options_.rlimit_as_bytes;
-  limits.rlimit_cpu_seconds = options_.rlimit_cpu_seconds;
-
-  std::uint32_t attempt = 0;
-  std::string delivered_json;  // verbatim child serialization when ok
-  for (;;) {
-    if (interrupted()) {
-      out.ok = false;
-      out.kind = SweepOutcome::FailureKind::kInterrupted;
-      out.error = "sweep interrupted";
-      break;
-    }
-
-    const ChildOutcome child = run_isolated(
-        limits, options_.interrupt, [&](Heartbeat& heartbeat) {
-          // Child side. The frame's outcome JSON is the child's own
-          // deterministic serialization of a finished cell, so the parent
-          // can splice it verbatim — the merge stays byte-identical to
-          // in-process execution by construction.
-          heartbeat.set_phase(ChildPhase::kRunning);
-          ChildFrame frame;
-          Experiment experiment = job.experiment;
-          experiment.fault_attempt = attempt;
-          experiment.fault_cell = cell;
-          experiment.heartbeat = heartbeat.beats();
-          try {
-            SweepOutcome child_out;
-            child_out.job_id = cell;
-            child_out.label = job.label;
-            child_out.result =
-                run_workload(job.apps, job.choice, db, experiment);
-            child_out.ok = true;
-            child_out.kind = SweepOutcome::FailureKind::kNone;
-            child_out.attempts = attempt + 1;
-            heartbeat.set_phase(ChildPhase::kReporting);
-            frame.kind = ChildFrame::Kind::kOk;
-            frame.outcome_json = to_deterministic_json(child_out);
-            frame.total_instructions = child_out.result.total_instructions;
-          } catch (const CancelledError& e) {
-            frame.kind = ChildFrame::Kind::kCancelled;
-            frame.error = e.what();
-          } catch (const RetryableError& e) {
-            frame.kind = ChildFrame::Kind::kRetryable;
-            frame.error = e.what();
-          }
-          // bad_alloc / other exceptions are classified by child_main.
-          return frame;
-        });
-
-    // Decode ladder (docs/robustness.md has the user-facing table).
-    bool retry = false;
-    switch (child.status) {
-      case ChildOutcome::Status::kDelivered:
-        switch (child.frame.kind) {
-          case ChildFrame::Kind::kOk:
-            out.ok = true;
-            out.kind = SweepOutcome::FailureKind::kNone;
-            out.error.clear();
-            out.result.total_instructions = child.frame.total_instructions;
-            delivered_json = child.frame.outcome_json;
-            break;
-          case ChildFrame::Kind::kRetryable:
-            out.ok = false;
-            out.kind = SweepOutcome::FailureKind::kQuarantined;
-            out.error = child.frame.error;
-            retry = true;
-            break;
-          case ChildFrame::Kind::kCancelled:
-            out.ok = false;
-            out.kind = SweepOutcome::FailureKind::kTimedOut;
-            out.error = child.frame.error;
-            break;
-          case ChildFrame::Kind::kOom:
-            // The cap was hit cleanly (allocator threw before the kernel
-            // had to step in). Transient by the same logic as a crash:
-            // attempts=k fault clauses model recoverable pressure.
-            out.ok = false;
-            out.kind = SweepOutcome::FailureKind::kOomKilled;
-            out.error = child.frame.error;
-            retry = true;
-            break;
-          case ChildFrame::Kind::kFailed:
-            out.ok = false;
-            out.kind = SweepOutcome::FailureKind::kFailed;
-            out.error = child.frame.error;
-            break;
-        }
-        break;
-      case ChildOutcome::Status::kCrashed:
-        out.ok = false;
-        // An un-asked-for SIGKILL is the kernel OOM killer's signature
-        // (the parent only SIGKILLs for deadline/interrupt, decoded
-        // separately); everything else is a crash.
-        out.kind = child.signal == SIGKILL
-                       ? SweepOutcome::FailureKind::kOomKilled
-                       : SweepOutcome::FailureKind::kCrashed;
-        out.crash_signal = child.signal;
-        out.crash_phase = to_string(child.last_phase);
-        out.error = "isolated child died with signal " +
-                    std::to_string(child.signal) + " in phase " +
-                    out.crash_phase;
-        retry = true;
-        break;
-      case ChildOutcome::Status::kDeadline:
-        // Deadlines never retry, same policy as cooperative timeouts.
-        // Static text: no wall-clock values, so the outcome bytes stay
-        // deterministic.
-        out.ok = false;
-        out.kind = SweepOutcome::FailureKind::kTimedOut;
-        out.error = "isolated child exceeded its wall-clock deadline "
-                    "(SIGKILL)";
-        break;
-      case ChildOutcome::Status::kInterrupted:
-        out.ok = false;
-        out.kind = SweepOutcome::FailureKind::kInterrupted;
-        out.error = "sweep interrupted";
-        break;
-      case ChildOutcome::Status::kExited:
-        out.ok = false;
-        out.kind = SweepOutcome::FailureKind::kFailed;
-        out.error = "isolated child exited with code " +
-                    std::to_string(child.exit_code) +
-                    " without a result frame";
-        break;
-    }
-    if (out.ok || !retry) break;
-    if (attempt + 1 >= options_.max_attempts) break;  // kind already final
+    // A retryable kind that outlives the budget is final as it stands.
+    if (!attempt.retryable || ordinal + 1 >= options_.max_attempts) break;
     if (options_.backoff_ms > 0.0) {
       const double delay = options_.backoff_ms *
-                           static_cast<double>(std::uint64_t{1} << attempt);
+                           static_cast<double>(std::uint64_t{1} << ordinal);
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(delay));
     }
-    ++attempt;
   }
-  out.attempts = attempt + 1;
+  SweepOutcome& out = attempt.out;
+  out.job_id = cell;
+  out.label = job.label;
+  out.attempts = ordinal + 1;
   out.wall_ms = now_ms() - start;
   if (out.ok && out.wall_ms > 0.0) {
     out.sim_instr_per_sec =
         static_cast<double>(out.result.total_instructions) /
         (out.wall_ms * 1e-3);
   }
-  // Hand run() the child's verbatim serialization for ok cells (the full
-  // RunResult never crossed the pipe, so the parent could not re-produce
-  // those bytes itself); failures are serialized parent-side.
-  outcome_json = out.ok ? delivered_json : std::string();
-  return out;
+  outcome_json = std::move(attempt.json);
+  return std::move(out);
 }
 
 SweepSupervisor::Result SweepSupervisor::run(
@@ -632,12 +484,7 @@ SweepSupervisor::Result SweepSupervisor::run(
   runner_.for_each_index(pending.size(), [&](std::size_t slot) {
     const std::size_t cell = pending[slot];
     std::string json;
-    SweepOutcome out;
-    if (options_.isolate) {
-      out = supervise_cell_isolated(cell, jobs[cell], db, json);
-    } else {
-      out = supervise_cell(cell, jobs[cell], db);
-    }
+    SweepOutcome out = supervise_cell(cell, jobs[cell], db, json);
     if (json.empty()) json = to_deterministic_json(out);
     // Interrupted cells are never journaled: they produced no result, and
     // resume must re-run them for the merged report to reach the

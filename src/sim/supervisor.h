@@ -7,9 +7,10 @@
 // a retry would have saved, and a killed process loses every finished
 // cell. The supervisor adds, per cell:
 //
-//   timeout     a watchdog thread arms a per-attempt deadline; when it
-//               expires it sets the job's cooperative cancellation flag and
-//               System::run throws CancelledError (kind = timed_out).
+//   timeout     each attempt runs under a wall-clock deadline carried in a
+//               RunContext; System::run checks it at its 4096-cycle poll
+//               and throws CancelledError once it passes (kind =
+//               timed_out).
 //   retry       attempts failing with RetryableError re-run (with
 //               exponential backoff) up to max_attempts; the retry ordinal
 //               feeds Experiment::fault_attempt so `attempts=k` fault
@@ -23,15 +24,18 @@
 //               torn final line (kill mid-append) is tolerated and counted.
 //   isolation   with isolate=true each cell runs in a forked child under
 //               RLIMIT_AS/RLIMIT_CPU caps (src/sim/isolation.h); the
-//               parent enforces the wall-clock deadline by SIGKILL and
-//               decodes child deaths into kCrashed (signal + heartbeat
-//               phase fingerprint) / kOomKilled, so a SIGSEGV or an OOM
-//               kill costs one cell, not the sweep.
+//               child runs the same attempt step with no stop conditions,
+//               the parent enforces the deadline by SIGKILL and decodes
+//               child deaths into kCrashed (signal + heartbeat phase
+//               fingerprint) / kOomKilled, so a SIGSEGV or an OOM kill
+//               costs one cell, not the sweep. Both modes share one retry
+//               ladder.
 //   interrupt   an optional interrupt flag (SIGINT/SIGTERM handler in the
-//               CLI) stops the sweep gracefully: running cells are
-//               cancelled/SIGKILLed, unfinished cells are marked
-//               kInterrupted and kept out of the journal, and the partial
-//               report is flagged "interrupted" so resume re-runs them.
+//               CLI) stops the sweep gracefully: running cells stop at
+//               their next poll (in-process) or are SIGKILLed (isolated),
+//               unfinished cells are marked kInterrupted and kept out of
+//               the journal, and the partial report is flagged
+//               "interrupted" so resume re-runs them.
 //
 // Everything that lands in the journal or the merged report is produced by
 // sim::to_deterministic_json, so the report bytes depend only on simulated
@@ -42,7 +46,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,8 +54,8 @@
 namespace moca::sim {
 
 struct SupervisorOptions {
-  /// Per-attempt wall-clock budget in milliseconds; 0 disables the
-  /// watchdog (jobs can run forever, as under the plain runner).
+  /// Per-attempt wall-clock budget in milliseconds; 0 = no deadline (jobs
+  /// can run forever, as under the plain runner).
   double timeout_ms = 0.0;
   /// Attempts per cell (first try + retries) for RetryableError failures;
   /// clamped to >= 1. Timeouts and permanent errors never retry.
@@ -75,9 +78,10 @@ struct SupervisorOptions {
   /// derives a backstop from timeout_ms (the wall deadline is primary).
   std::uint64_t rlimit_cpu_seconds = 0;
   /// Graceful-stop flag (typically set by a SIGINT/SIGTERM handler).
-  /// When it becomes true, running cells are cancelled (in-process) or
-  /// SIGKILLed (isolated) and every unfinished cell is reported as
-  /// kInterrupted without being journaled. Null = never interrupted.
+  /// When it becomes true, running cells stop at their next poll
+  /// (in-process) or are SIGKILLed (isolated) and every unfinished cell is
+  /// reported as kInterrupted without being journaled. Null = never
+  /// interrupted.
   const std::atomic<bool>* interrupt = nullptr;
 };
 
@@ -86,7 +90,6 @@ struct SupervisorOptions {
 class SweepSupervisor {
  public:
   SweepSupervisor(SweepRunner& runner, SupervisorOptions options);
-  ~SweepSupervisor();
 
   SweepSupervisor(const SweepSupervisor&) = delete;
   SweepSupervisor& operator=(const SweepSupervisor&) = delete;
@@ -124,18 +127,13 @@ class SweepSupervisor {
       const std::map<std::string, core::ClassifiedApp>& db);
 
  private:
-  class Watchdog;
-
+  /// The retry ladder for one cell, either mode. `outcome_json` receives
+  /// an isolated child's verbatim serialization for ok cells (empty
+  /// otherwise: the caller serializes the outcome itself).
   [[nodiscard]] SweepOutcome supervise_cell(
       std::size_t cell, const SweepJob& job,
-      const std::map<std::string, core::ClassifiedApp>& db);
-  /// Isolated variant: `outcome_json` receives the child's verbatim
-  /// deterministic serialization for ok cells (empty on failure — the
-  /// caller serializes the parent-constructed failure outcome itself).
-  [[nodiscard]] SweepOutcome supervise_cell_isolated(
-      std::size_t cell, const SweepJob& job,
       const std::map<std::string, core::ClassifiedApp>& db,
-      std::string& outcome_json);
+      std::string& outcome_json) const;
   void load_journal(std::size_t job_count,
                     std::vector<std::string>& cached,
                     std::vector<SweepOutcome>& outcomes,
@@ -143,7 +141,6 @@ class SweepSupervisor {
 
   SweepRunner& runner_;
   SupervisorOptions options_;
-  std::unique_ptr<Watchdog> watchdog_;
   std::string fingerprint_;
 };
 

@@ -38,11 +38,12 @@ struct SweepJob {
 struct SweepOutcome {
   /// Typed failure classification (docs/robustness.md). kNone for ok
   /// outcomes; the plain SweepRunner only produces kFailed, the
-  /// SweepSupervisor adds kTimedOut (wall-clock watchdog fired) and
-  /// kQuarantined (retryable error outlived the retry budget), and its
-  /// process-isolated mode adds kCrashed (child died by signal),
-  /// kOomKilled (child exhausted its memory cap) and kInterrupted (the
-  /// sweep was stopped by SIGINT/SIGTERM before this cell could finish).
+  /// SweepSupervisor adds kTimedOut (an attempt overran its wall-clock
+  /// deadline), kQuarantined (retryable error outlived the retry budget)
+  /// and kInterrupted (the sweep was stopped by SIGINT/SIGTERM before this
+  /// cell could finish), and its process-isolated mode adds kCrashed
+  /// (child died by signal) and kOomKilled (child exhausted its memory
+  /// cap).
   enum class FailureKind : std::uint8_t {
     kNone,
     kFailed,

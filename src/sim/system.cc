@@ -356,7 +356,7 @@ void System::pretouch_pages() {
 
 System::~System() = default;
 
-RunResult System::run() {
+RunResult System::run(const RunContext& context) {
   // Transient whole-job faults fire before any simulation work so the
   // supervisor's retry replays the attempt from scratch.
   if (injector_ != nullptr) injector_->maybe_fail_job();
@@ -387,20 +387,14 @@ RunResult System::run() {
       }
     }
     while (!running.empty()) {
-      // Cooperative cancellation + liveness heartbeat (supervised
-      // wall-clock timeout / process isolation). The mask keeps both off
-      // the per-cycle fast path; 4096 cycles is ~1.3 us simulated, far
-      // below any meaningful timeout granularity.
-      if ((cycle & 4095) == 0) {
-        if (options_.heartbeat != nullptr) {
-          options_.heartbeat->fetch_add(1, std::memory_order_relaxed);
-        }
-        if (options_.cancel != nullptr &&
-            options_.cancel->load(std::memory_order_relaxed)) {
-          throw CancelledError("simulation cancelled at cycle " +
-                               std::to_string(cycle) +
-                               " (supervised timeout)");
-        }
+      // Supervised deadline / interrupt. The mask keeps the poll off the
+      // per-cycle fast path; 4096 cycles is ~1.3 us simulated, far below
+      // any meaningful timeout granularity. The text is fixed (no cycle
+      // number): where a wall-clock deadline lands depends on host speed,
+      // and the text becomes the outcome's deterministic error.
+      if ((cycle & 4095) == 0 && context.stop_requested()) {
+        throw CancelledError(
+            "simulation cancelled (wall-clock deadline or interrupt)");
       }
       events_.run_until(cycle_to_ps(cycle));
       for (std::size_t r = 0; r < running.size();) {

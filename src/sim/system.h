@@ -2,6 +2,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -65,12 +66,24 @@ struct SystemOptions {
   std::uint32_t fault_attempt = 0;
   /// Sweep-cell index gating `cell=n` fault clauses (0 outside sweeps).
   std::uint64_t fault_cell = 0;
-  /// Cooperative cancellation flag: run() polls it and throws
-  /// CancelledError once it is true. Null = never cancelled.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Liveness heartbeat: run() bumps it at the cancel-poll cadence so an
-  /// isolating parent can distinguish progress from a wedge. Null = none.
-  std::atomic<std::uint64_t>* heartbeat = nullptr;
+};
+
+/// Host-side stop conditions for one run, kept apart from the
+/// configuration: System::run polls them every 4096 simulated cycles and
+/// throws CancelledError once either fires. Neither changes simulated
+/// results. The default context never stops.
+struct RunContext {
+  using Clock = std::chrono::steady_clock;
+  /// Graceful-stop flag (SIGINT/SIGTERM); null = never interrupted.
+  const std::atomic<bool>* interrupt = nullptr;
+  /// Wall-clock deadline; max() = none, and then the clock is never read.
+  Clock::time_point deadline = Clock::time_point::max();
+
+  [[nodiscard]] bool stop_requested() const {
+    return (interrupt != nullptr &&
+            interrupt->load(std::memory_order_relaxed)) ||
+           (deadline != Clock::time_point::max() && Clock::now() >= deadline);
+  }
 };
 
 /// One application bound to one core.
@@ -139,7 +152,8 @@ class System {
   System& operator=(const System&) = delete;
 
   /// Runs every core to its instruction budget and collects metrics.
-  [[nodiscard]] RunResult run();
+  /// Throws CancelledError when `context` asks to stop.
+  [[nodiscard]] RunResult run(const RunContext& context = {});
 
   [[nodiscard]] const core::ObjectRegistry& registry() const {
     return registry_;

@@ -19,6 +19,12 @@ struct Case {
   std::uint64_t seed_b;
 };
 
+// Without this, gtest prints Case as raw bytes, which include the string's
+// heap address and so make the listed test names differ from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.app << "/" << c.seed_a << "/" << c.seed_b;
+}
+
 class StabilityP : public ::testing::TestWithParam<Case> {};
 
 TEST_P(StabilityP, ObjectClassesAgreeAcrossTrainingSeeds) {

@@ -42,7 +42,6 @@ TEST(RunIsolated, DeliversFrameFromHealthyChild) {
   const sim::ChildOutcome out = sim::run_isolated(
       limits, nullptr, [](sim::Heartbeat& hb) {
         hb.set_phase(sim::ChildPhase::kRunning);
-        hb.beats()->fetch_add(3);
         hb.set_phase(sim::ChildPhase::kReporting);
         sim::ChildFrame frame;
         frame.kind = sim::ChildFrame::Kind::kOk;
@@ -54,7 +53,6 @@ TEST(RunIsolated, DeliversFrameFromHealthyChild) {
   EXPECT_EQ(out.frame.kind, sim::ChildFrame::Kind::kOk);
   EXPECT_EQ(out.frame.outcome_json, R"({"job_id":0,"ok":true})");
   EXPECT_EQ(out.frame.total_instructions, 12345u);
-  EXPECT_GE(out.beats, 3u);
   // The frame was fully written, so the child published kDone last.
   EXPECT_EQ(out.last_phase, sim::ChildPhase::kDone);
 }
@@ -175,6 +173,10 @@ TEST(Isolated, TransientCrashSucceedsOnRetry) {
   EXPECT_TRUE(out.ok) << out.error;
   EXPECT_EQ(out.kind, sim::SweepOutcome::FailureKind::kNone);
   EXPECT_EQ(out.attempts, 2u);
+  // The successful attempt's verdict replaces the crash completely: no
+  // stale fingerprint on an ok cell.
+  EXPECT_EQ(out.crash_signal, 0);
+  EXPECT_EQ(out.crash_phase, "");
 }
 
 TEST(Isolated, HangKilledWithinTwiceDeadline) {
@@ -216,7 +218,7 @@ TEST(Isolated, OomClassifiedAsOomKilled) {
 
 TEST(Isolated, DeterministicReportExcludesHostTiming) {
   // Two isolated runs of the same sweep must produce byte-identical
-  // reports even though wall time and heartbeat counts differ.
+  // reports even though their wall times differ.
   const std::vector<sim::SweepJob> jobs = fixture_jobs();
   sim::SupervisorOptions options;
   options.isolate = true;
@@ -268,30 +270,39 @@ TEST(Isolated, KillAndResumeMergesByteIdentically) {
   std::remove(journal_b.c_str());
 }
 
+std::size_t journal_line_count(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) ++lines;
+  return lines;
+}
+
+// The two interrupt tests below run every check in both modes, isolated
+// and in-process.
 TEST(Isolated, InterruptMarksUnfinishedCellsAndSkipsJournal) {
   const std::vector<sim::SweepJob> jobs = fixture_jobs();
-  const std::string journal = temp_path("moca_iso_journal_int.jsonl");
-  std::atomic<bool> interrupt{true};  // pre-set: stop before any cell runs
-  sim::SupervisorOptions options;
-  options.isolate = true;
-  options.journal_path = journal;
-  options.interrupt = &interrupt;
-  const sim::SweepSupervisor::Result result =
-      run_supervised(jobs, options, 2);
+  for (const bool isolate : {true, false}) {
+    SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    const std::string journal = temp_path("moca_iso_journal_int.jsonl");
+    std::atomic<bool> interrupt{true};  // pre-set: stop before any cell runs
+    sim::SupervisorOptions options;
+    options.isolate = isolate;
+    options.journal_path = journal;
+    options.interrupt = &interrupt;
+    const sim::SweepSupervisor::Result result =
+        run_supervised(jobs, options, 2);
 
-  EXPECT_TRUE(result.interrupted);
-  EXPECT_NE(result.report.find("\"interrupted\":true"), std::string::npos);
-  for (const sim::SweepOutcome& out : result.outcomes) {
-    EXPECT_FALSE(out.ok);
-    EXPECT_EQ(out.kind, sim::SweepOutcome::FailureKind::kInterrupted);
+    EXPECT_TRUE(result.interrupted);
+    EXPECT_NE(result.report.find("\"interrupted\":true"), std::string::npos);
+    for (const sim::SweepOutcome& out : result.outcomes) {
+      EXPECT_FALSE(out.ok);
+      EXPECT_EQ(out.kind, sim::SweepOutcome::FailureKind::kInterrupted);
+    }
+    // Interrupted cells are never journaled: resume must re-run everything.
+    EXPECT_EQ(journal_line_count(journal), 0u);
+    std::remove(journal.c_str());
   }
-  // Interrupted cells are never journaled: resume must re-run everything.
-  std::ifstream in(journal);
-  std::string line;
-  std::size_t journal_lines = 0;
-  while (std::getline(in, line)) ++journal_lines;
-  EXPECT_EQ(journal_lines, 0u);
-  std::remove(journal.c_str());
 }
 
 TEST(Isolated, InterruptedSweepResumesToFullReport) {
@@ -299,29 +310,68 @@ TEST(Isolated, InterruptedSweepResumesToFullReport) {
   // are durable; a resume with the flag clear completes the sweep and the
   // merged report is byte-identical to an uninterrupted run.
   const std::vector<sim::SweepJob> jobs = fixture_jobs();
-  sim::SupervisorOptions plain;
-  plain.isolate = true;
-  const sim::SweepSupervisor::Result reference =
-      run_supervised(jobs, plain, 1);
+  for (const bool isolate : {true, false}) {
+    SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    sim::SupervisorOptions plain;
+    plain.isolate = isolate;
+    const sim::SweepSupervisor::Result reference =
+        run_supervised(jobs, plain, 1);
 
-  const std::string journal = temp_path("moca_iso_journal_res.jsonl");
-  std::atomic<bool> interrupt{true};
+    const std::string journal = temp_path("moca_iso_journal_res.jsonl");
+    std::atomic<bool> interrupt{true};
+    sim::SupervisorOptions options;
+    options.isolate = isolate;
+    options.journal_path = journal;
+    options.interrupt = &interrupt;
+    const sim::SweepSupervisor::Result partial =
+        run_supervised(jobs, options, 1);
+    EXPECT_TRUE(partial.interrupted);
+
+    sim::SupervisorOptions resume;
+    resume.isolate = isolate;
+    resume.journal_path = journal;
+    resume.resume = true;
+    const sim::SweepSupervisor::Result completed =
+        run_supervised(jobs, resume, 1);
+    EXPECT_FALSE(completed.interrupted);
+    EXPECT_EQ(completed.report, reference.report);
+    std::remove(journal.c_str());
+  }
+}
+
+TEST(Interrupt, InProcessFlagStopsRunningCells) {
+  // A flag set mid-sweep reaches cells that are already simulating: each
+  // stops at its next System::run poll, so two cells far too long to
+  // finish end interrupted on their first attempt, nothing is journaled,
+  // and the sweep returns promptly.
+  std::vector<sim::SweepJob> jobs = fixture_jobs();
+  jobs.resize(2);
+  for (sim::SweepJob& job : jobs) job.experiment.instructions = 200'000'000;
+  const std::string journal = temp_path("moca_inproc_journal_int.jsonl");
+  std::atomic<bool> interrupt{false};
   sim::SupervisorOptions options;
-  options.isolate = true;
   options.journal_path = journal;
   options.interrupt = &interrupt;
-  const sim::SweepSupervisor::Result partial =
-      run_supervised(jobs, options, 1);
-  EXPECT_TRUE(partial.interrupted);
 
-  sim::SupervisorOptions resume;
-  resume.isolate = true;
-  resume.journal_path = journal;
-  resume.resume = true;
-  const sim::SweepSupervisor::Result completed =
-      run_supervised(jobs, resume, 1);
-  EXPECT_FALSE(completed.interrupted);
-  EXPECT_EQ(completed.report, reference.report);
+  const Clock::time_point start = Clock::now();
+  std::thread stopper([&interrupt] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    interrupt.store(true);
+  });
+  const sim::SweepSupervisor::Result result =
+      run_supervised(jobs, options, 2);
+  const double ms = elapsed_ms(start);
+  stopper.join();
+
+  EXPECT_LT(ms, 1000.0);
+  EXPECT_TRUE(result.interrupted);
+  ASSERT_EQ(result.outcomes.size(), 2u);
+  for (const sim::SweepOutcome& out : result.outcomes) {
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.kind, sim::SweepOutcome::FailureKind::kInterrupted);
+    EXPECT_EQ(out.attempts, 1u);
+  }
+  EXPECT_EQ(journal_line_count(journal), 0u);
   std::remove(journal.c_str());
 }
 

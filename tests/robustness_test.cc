@@ -439,25 +439,32 @@ TEST(FaultInjection, CapClauseClampsModuleCapacity) {
   EXPECT_EQ(os.stats().fallback_allocations, 4u);
 }
 
-TEST(Supervised, WatchdogTimeoutYieldsTimedOutWithoutRetry) {
+TEST(Supervised, DeadlineYieldsDeterministicTimedOutWithoutRetry) {
   sim::SweepJob job;
   job.apps = {"gcc"};
   job.choice = sim::SystemChoice::kHomogenDdr3;
   job.experiment.instructions = 200'000'000;  // far beyond the budget
   job.label = "slow";
 
-  sim::SupervisorOptions options;
-  options.timeout_ms = 50;
-  options.max_attempts = 3;
-  sim::SweepRunner runner(1);
-  sim::SweepSupervisor supervisor(runner, options);
-  const auto result = supervisor.run({job}, {});
-  ASSERT_EQ(result.outcomes.size(), 1u);
-  const sim::SweepOutcome& out = result.outcomes[0];
-  EXPECT_FALSE(out.ok);
-  EXPECT_EQ(out.kind, sim::SweepOutcome::FailureKind::kTimedOut);
-  EXPECT_EQ(out.attempts, 1u);  // timeouts never retry
-  EXPECT_NE(out.error.find("cancelled"), std::string::npos) << out.error;
+  // Two budgets stop the cell at different simulated cycles; the outcome
+  // bytes must not say where.
+  std::vector<std::string> outcome_jsons;
+  for (const double budget_ms : {50.0, 80.0}) {
+    sim::SupervisorOptions options;
+    options.timeout_ms = budget_ms;
+    options.max_attempts = 3;
+    sim::SweepRunner runner(1);
+    sim::SweepSupervisor supervisor(runner, options);
+    const auto result = supervisor.run({job}, {});
+    ASSERT_EQ(result.outcomes.size(), 1u);
+    const sim::SweepOutcome& out = result.outcomes[0];
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.kind, sim::SweepOutcome::FailureKind::kTimedOut);
+    EXPECT_EQ(out.attempts, 1u);  // timeouts never retry
+    EXPECT_NE(out.error.find("cancelled"), std::string::npos) << out.error;
+    outcome_jsons.push_back(result.outcome_jsons.at(0));
+  }
+  EXPECT_EQ(outcome_jsons[0], outcome_jsons[1]);
 }
 
 TEST(Supervised, RetryBudgetExhaustionQuarantines) {

@@ -51,11 +51,12 @@ const std::vector<sim::FlagSpec>& cli_flags() {
 }
 
 // Graceful SIGINT/SIGTERM for supervised sweeps: the handler only flips
-// these flags; the supervisor notices, cancels/SIGKILLs running cells,
-// keeps the journal consistent (every fsynced line stays valid) and the
-// CLI then emits a partial report marked "interrupted" and exits
-// 128+signal. A second signal (SA_RESETHAND) kills the process the
-// default way for users who really mean it.
+// these flags; running cells stop at their next System::run poll
+// (in-process) or are SIGKILLed (isolated), the journal stays consistent
+// (every fsynced line stays valid) and the CLI then emits a partial
+// report marked "interrupted" and exits 128+signal. A second signal
+// (SA_RESETHAND) kills the process the default way for users who really
+// mean it.
 std::atomic<bool> g_interrupt{false};
 std::atomic<int> g_interrupt_signal{0};
 
@@ -291,8 +292,8 @@ int cmd_compare(const ParsedArgs& args) {
     jobs.push_back(std::move(job));
   }
   // Supervision knobs (--timeout-ms/--retries/--journal/--resume) route
-  // the sweep through the supervisor: per-job watchdog, retry/quarantine
-  // and the crash-safe journal (docs/robustness.md).
+  // the sweep through the supervisor: per-attempt wall-clock deadline,
+  // retry/quarantine and the crash-safe journal (docs/robustness.md).
   if (options.supervised) {
     return run_supervised_sweep(args, options, runner, jobs, db);
   }
@@ -528,8 +529,9 @@ int usage() {
          "                    S = on|off|key=value,... e.g.\n"
          "                    'epoch=50000,window=4,residency=3,margin=0.25'\n"
          "  compare/sweep: [--timeout-ms N] [--retries N] [--journal F]\n"
-         "                [--resume F] run the sweep supervised (watchdog,\n"
-         "                retry/quarantine, crash-safe resume journal)\n"
+         "                [--resume F] run the sweep supervised (per-attempt\n"
+         "                deadline, retry/quarantine, crash-safe resume\n"
+         "                journal)\n"
          "  [--isolate]       fork each cell into its own process: crashes\n"
          "                    and OOM kills quarantine one cell, survivors\n"
          "                    merge byte-identically\n"
@@ -539,8 +541,8 @@ int usage() {
          "  emits a partial report marked interrupted and exits 128+signal.\n"
          "Every knob also reads MOCA_SIM_{INSTR,WARMUP,CONFIG,EPOCH,TRACE,"
          "JOBS,\n"
-         "FAULTS,TIMEOUT_MS,ISOLATE,RLIMIT_AS_MB,RLIMIT_CPU_S,AUDIT,"
-         "ADAPTIVE};\n"
+         "FAULTS,TIMEOUT_MS,RETRIES,ISOLATE,RLIMIT_AS_MB,RLIMIT_CPU_S,\n"
+         "AUDIT,ADAPTIVE};\n"
          "flags win over environment variables.\n";
   return 2;
 }
