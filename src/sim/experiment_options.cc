@@ -10,30 +10,6 @@
 namespace moca::sim {
 namespace {
 
-/// Flags every entry point understands (see the header table).
-const std::vector<FlagSpec>& shared_flags() {
-  static const std::vector<FlagSpec> kShared = {
-      {"instr", true},  {"warmup", true}, {"config", true}, {"epoch", true},
-      {"trace-out", true}, {"jobs", true}, {"log", false},
-      {"fault-plan", true}, {"timeout-ms", true}, {"retries", true},
-      {"journal", true}, {"resume", true}, {"audit", false},
-      {"adaptive", true}, {"isolate", false}, {"rlimit-as-mb", true},
-      {"rlimit-cpu-s", true},
-  };
-  return kShared;
-}
-
-const FlagSpec* find_flag(const std::string& name,
-                          const std::vector<FlagSpec>& extra) {
-  for (const FlagSpec& spec : shared_flags()) {
-    if (spec.name == name) return &spec;
-  }
-  for (const FlagSpec& spec : extra) {
-    if (spec.name == name) return &spec;
-  }
-  return nullptr;
-}
-
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   // strtoull silently wraps a leading '-' to a huge value; reject it so
   // "-1" fails loudly like every other malformed number.
@@ -47,11 +23,112 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what) {
   return value;
 }
 
-std::optional<std::uint64_t> env_u64(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return std::nullopt;
-  return parse_u64(value, name);
+/// One knob's raw text and the spelling it came from ("flag --instr" or
+/// "MOCA_SIM_INSTR"), which every error message names.
+struct Value {
+  std::string text;
+  std::string who;
+
+  [[nodiscard]] std::uint64_t number() const { return parse_u64(text, who); }
+  [[nodiscard]] std::uint64_t positive() const {
+    const std::uint64_t n = number();
+    MOCA_CHECK_MSG(n > 0, who << " must be positive");
+    return n;
+  }
+  [[nodiscard]] const std::string& path() const {
+    MOCA_CHECK_MSG(!text.empty(), who << " needs a file path");
+    return text;
+  }
+};
+
+/// Supervision knobs route sweeps through SweepSupervisor.
+SupervisorOptions& supervise(ExperimentOptions& o) {
+  o.supervised = true;
+  return o.supervisor;
 }
+
+/// One row per knob (see the header table). Both spellings of a knob go
+/// through the same `apply`, so they accept exactly the same values; a
+/// bare flag's environment variable only has to be set, to any value.
+struct Knob {
+  const char* flag;  // without the leading "--"
+  bool takes_value;
+  const char* env;   // nullptr: flag only
+  void (*apply)(ExperimentOptions&, const Value&);
+};
+
+constexpr Knob kKnobs[] = {
+    {"instr", true, "MOCA_SIM_INSTR",
+     [](ExperimentOptions& o, const Value& v) {
+       o.experiment.instructions = v.positive();
+       o.instructions_overridden = true;
+     }},
+    {"warmup", true, "MOCA_SIM_WARMUP",
+     [](ExperimentOptions& o, const Value& v) {
+       o.experiment.warmup = v.number();
+     }},
+    {"config", true, "MOCA_SIM_CONFIG",
+     [](ExperimentOptions& o, const Value& v) {
+       o.experiment.hetero_config = static_cast<int>(v.number());
+     }},
+    {"epoch", true, "MOCA_SIM_EPOCH",
+     [](ExperimentOptions& o, const Value& v) {
+       o.experiment.observability.epoch_instructions = v.number();
+     }},
+    {"trace-out", true, "MOCA_SIM_TRACE",
+     [](ExperimentOptions& o, const Value& v) {
+       o.trace_out = v.path();
+       o.experiment.observability.trace = true;
+     }},
+    {"jobs", true, "MOCA_SIM_JOBS",
+     [](ExperimentOptions& o, const Value& v) {
+       o.jobs = static_cast<unsigned>(v.positive());
+     }},
+    {"log", false, "MOCA_SWEEP_LOG",
+     [](ExperimentOptions& o, const Value&) { o.sweep_log = true; }},
+    {"fault-plan", true, "MOCA_SIM_FAULTS",
+     [](ExperimentOptions& o, const Value& v) {
+       o.experiment.faults = FaultPlan::parse(v.text);
+     }},
+    {"timeout-ms", true, "MOCA_SIM_TIMEOUT_MS",
+     [](ExperimentOptions& o, const Value& v) {
+       supervise(o).timeout_ms = static_cast<double>(v.number());
+     }},
+    {"retries", true, "MOCA_SIM_RETRIES",
+     [](ExperimentOptions& o, const Value& v) {
+       supervise(o).max_attempts = static_cast<std::uint32_t>(v.positive());
+     }},
+    {"journal", true, nullptr,
+     [](ExperimentOptions& o, const Value& v) {
+       supervise(o).journal_path = v.path();
+     }},
+    {"resume", true, nullptr,  // after --journal, so --resume F wins
+     [](ExperimentOptions& o, const Value& v) {
+       supervise(o).journal_path = v.path();
+       o.supervisor.resume = true;
+     }},
+    {"isolate", false, "MOCA_SIM_ISOLATE",
+     [](ExperimentOptions& o, const Value&) { supervise(o).isolate = true; }},
+    {"rlimit-as-mb", true, "MOCA_SIM_RLIMIT_AS_MB",
+     [](ExperimentOptions& o, const Value& v) {
+       supervise(o).rlimit_as_bytes = v.positive() << 20;
+       o.supervisor.isolate = true;  // caps imply isolation
+     }},
+    {"rlimit-cpu-s", true, "MOCA_SIM_RLIMIT_CPU_S",
+     [](ExperimentOptions& o, const Value& v) {
+       supervise(o).rlimit_cpu_seconds = v.positive();
+       o.supervisor.isolate = true;
+     }},
+    {"audit", false, "MOCA_SIM_AUDIT",
+     [](ExperimentOptions& o, const Value&) {
+       o.experiment.observability.audit = true;
+     }},
+    {"adaptive", true, "MOCA_SIM_ADAPTIVE",
+     [](ExperimentOptions& o, const Value& v) {
+       // "--adaptive off" overrides an environment opt-in (flag > env).
+       o.experiment.adaptive = core::parse_adaptive_spec(v.text);
+     }},
+};
 
 }  // namespace
 
@@ -77,9 +154,15 @@ ParsedArgs parse_args(int argc, char** argv, int start,
       continue;
     }
     const std::string name = token.substr(2);
-    const FlagSpec* spec = find_flag(name, extra);
-    MOCA_CHECK_MSG(spec != nullptr, "unknown flag --" << name);
-    if (!spec->takes_value) {
+    std::optional<bool> takes_value;
+    for (const FlagSpec& spec : extra) {
+      if (spec.name == name) takes_value = spec.takes_value;
+    }
+    for (const Knob& knob : kKnobs) {
+      if (name == knob.flag) takes_value = knob.takes_value;
+    }
+    MOCA_CHECK_MSG(takes_value.has_value(), "unknown flag --" << name);
+    if (!*takes_value) {
       args.flags[name] = "1";
       continue;
     }
@@ -91,142 +174,19 @@ ParsedArgs parse_args(int argc, char** argv, int start,
 
 ExperimentOptions ExperimentOptions::from_env() {
   ExperimentOptions options;
-  if (const auto v = env_u64("MOCA_SIM_INSTR")) {
-    MOCA_CHECK_MSG(*v > 0, "MOCA_SIM_INSTR must be a positive integer");
-    options.experiment.instructions = *v;
-    options.instructions_overridden = true;
-  }
-  if (const auto v = env_u64("MOCA_SIM_WARMUP")) {
-    options.experiment.warmup = *v;
-  }
-  if (const auto v = env_u64("MOCA_SIM_CONFIG")) {
-    options.experiment.hetero_config = static_cast<int>(*v);
-  }
-  if (const auto v = env_u64("MOCA_SIM_EPOCH")) {
-    options.experiment.observability.epoch_instructions = *v;
-  }
-  if (const char* trace = std::getenv("MOCA_SIM_TRACE");
-      trace != nullptr && *trace != '\0') {
-    options.trace_out = trace;
-    options.experiment.observability.trace = true;
-  }
-  if (const auto v = env_u64("MOCA_SIM_JOBS")) {
-    options.jobs = static_cast<unsigned>(*v);
-  }
-  if (std::getenv("MOCA_SWEEP_LOG") != nullptr) options.sweep_log = true;
-  if (const char* faults = std::getenv("MOCA_SIM_FAULTS");
-      faults != nullptr && *faults != '\0') {
-    options.experiment.faults = FaultPlan::parse(faults);
-  }
-  if (const auto v = env_u64("MOCA_SIM_TIMEOUT_MS")) {
-    options.supervisor.timeout_ms = static_cast<double>(*v);
-    options.supervised = true;
-  }
-  if (const auto v = env_u64("MOCA_SIM_RETRIES")) {
-    MOCA_CHECK_MSG(*v > 0, "MOCA_SIM_RETRIES must be a positive integer");
-    options.supervisor.max_attempts = static_cast<std::uint32_t>(*v);
-    options.supervised = true;
-  }
-  if (std::getenv("MOCA_SIM_ISOLATE") != nullptr) {
-    options.supervisor.isolate = true;
-    options.supervised = true;
-  }
-  if (const auto v = env_u64("MOCA_SIM_RLIMIT_AS_MB")) {
-    options.supervisor.rlimit_as_bytes = *v << 20;
-    options.supervisor.isolate = true;
-    options.supervised = true;
-  }
-  if (const auto v = env_u64("MOCA_SIM_RLIMIT_CPU_S")) {
-    options.supervisor.rlimit_cpu_seconds = *v;
-    options.supervisor.isolate = true;
-    options.supervised = true;
-  }
-  if (std::getenv("MOCA_SIM_AUDIT") != nullptr) {
-    options.experiment.observability.audit = true;
-  }
-  if (const char* adaptive = std::getenv("MOCA_SIM_ADAPTIVE");
-      adaptive != nullptr && *adaptive != '\0') {
-    options.experiment.adaptive = core::parse_adaptive_spec(adaptive);
+  for (const Knob& knob : kKnobs) {
+    const char* text = knob.env == nullptr ? nullptr : std::getenv(knob.env);
+    if (text != nullptr) knob.apply(options, {text, knob.env});
   }
   return options;
 }
 
 void ExperimentOptions::apply_flags(const ParsedArgs& args) {
-  if (args.has("instr")) {
-    const std::uint64_t value = args.get_u64("instr", 0);
-    MOCA_CHECK_MSG(value > 0, "flag --instr must be positive");
-    experiment.instructions = value;
-    instructions_overridden = true;
-  }
-  if (args.has("warmup")) {
-    experiment.warmup = args.get_u64("warmup", experiment.warmup);
-  }
-  if (args.has("config")) {
-    experiment.hetero_config = static_cast<int>(
-        args.get_u64("config", experiment.hetero_config));
-  }
-  if (args.has("epoch")) {
-    experiment.observability.epoch_instructions =
-        args.get_u64("epoch", experiment.observability.epoch_instructions);
-  }
-  if (args.has("trace-out")) {
-    trace_out = args.get("trace-out");
-    MOCA_CHECK_MSG(!trace_out.empty(), "flag --trace-out needs a file path");
-    experiment.observability.trace = true;
-  }
-  if (args.has("jobs")) {
-    jobs = static_cast<unsigned>(args.get_u64("jobs", jobs));
-  }
-  if (args.has("log")) sweep_log = true;
-  if (args.has("fault-plan")) {
-    experiment.faults = FaultPlan::parse(args.get("fault-plan"));
-  }
-  if (args.has("timeout-ms")) {
-    supervisor.timeout_ms =
-        static_cast<double>(args.get_u64("timeout-ms", 0));
-    supervised = true;
-  }
-  if (args.has("retries")) {
-    const std::uint64_t value = args.get_u64("retries", 0);
-    MOCA_CHECK_MSG(value > 0, "flag --retries must be positive");
-    supervisor.max_attempts = static_cast<std::uint32_t>(value);
-    supervised = true;
-  }
-  if (args.has("journal")) {
-    supervisor.journal_path = args.get("journal");
-    MOCA_CHECK_MSG(!supervisor.journal_path.empty(),
-                   "flag --journal needs a file path");
-    supervised = true;
-  }
-  if (args.has("resume")) {
-    supervisor.journal_path = args.get("resume");
-    MOCA_CHECK_MSG(!supervisor.journal_path.empty(),
-                   "flag --resume needs a file path");
-    supervisor.resume = true;
-    supervised = true;
-  }
-  if (args.has("isolate")) {
-    supervisor.isolate = true;
-    supervised = true;
-  }
-  if (args.has("rlimit-as-mb")) {
-    const std::uint64_t value = args.get_u64("rlimit-as-mb", 0);
-    MOCA_CHECK_MSG(value > 0, "flag --rlimit-as-mb must be positive");
-    supervisor.rlimit_as_bytes = value << 20;
-    supervisor.isolate = true;  // caps imply isolation
-    supervised = true;
-  }
-  if (args.has("rlimit-cpu-s")) {
-    const std::uint64_t value = args.get_u64("rlimit-cpu-s", 0);
-    MOCA_CHECK_MSG(value > 0, "flag --rlimit-cpu-s must be positive");
-    supervisor.rlimit_cpu_seconds = value;
-    supervisor.isolate = true;
-    supervised = true;
-  }
-  if (args.has("audit")) experiment.observability.audit = true;
-  if (args.has("adaptive")) {
-    // "--adaptive off" overrides an environment opt-in (flag > env).
-    experiment.adaptive = core::parse_adaptive_spec(args.get("adaptive"));
+  for (const Knob& knob : kKnobs) {
+    const auto it = args.flags.find(knob.flag);
+    if (it != args.flags.end()) {
+      knob.apply(*this, {it->second, std::string("flag --") + knob.flag});
+    }
   }
 }
 

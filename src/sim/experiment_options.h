@@ -15,7 +15,8 @@
 //   --epoch N       MOCA_SIM_EPOCH     observability sampling epoch (instr)
 //   --trace-out F   MOCA_SIM_TRACE     Chrome-trace output file (enables
 //                                      phase tracing)
-//   --jobs N        MOCA_SIM_JOBS      sweep worker-pool size (0 = auto)
+//   --jobs N        MOCA_SIM_JOBS      sweep worker-pool size, positive
+//                                      (unset = all hardware threads)
 //   --log           MOCA_SWEEP_LOG     per-job progress lines on stderr
 //   --fault-plan P  MOCA_SIM_FAULTS    deterministic fault plan
 //                                      (docs/robustness.md grammar)
@@ -37,6 +38,11 @@
 //   --adaptive S    MOCA_SIM_ADAPTIVE  phase-adaptive reclassification
 //                                      engine: on|off|key=value,...
 //                                      (moca/adaptive.h grammar)
+//
+// Both spellings of a knob go through one parser in experiment_options.cc,
+// so they accept exactly the same values (a zero --instr, --jobs, --retries
+// or rlimit cap is rejected either way); the environment variable of a bare
+// flag (--log, --isolate, --audit) only has to be set.
 //
 // parse_args() rejects unknown flags and missing values with CheckError so
 // a typo ("--jsonx") fails loudly instead of silently swallowing the next
@@ -85,8 +91,8 @@ struct ParsedArgs {
 /// Fully resolved experiment configuration for one entry point.
 struct ExperimentOptions {
   Experiment experiment;
-  /// Sweep worker-pool size; 0 lets SweepRunner resolve (MOCA_SIM_JOBS or
-  /// hardware_concurrency).
+  /// Sweep worker-pool size; 0 (neither --jobs nor MOCA_SIM_JOBS given)
+  /// means all hardware threads.
   unsigned jobs = 0;
   bool sweep_log = false;
   /// Chrome-trace output path; non-empty implies

@@ -113,9 +113,6 @@ MemSystemConfig memsys_for(SystemChoice choice, const Experiment& experiment) {
   return {};
 }
 
-namespace {
-
-/// Options every measured run shares (profiling runs build their own).
 SystemOptions measured_options(const Experiment& experiment) {
   SystemOptions options;
   options.instructions_per_core = experiment.instructions;
@@ -128,6 +125,8 @@ SystemOptions measured_options(const Experiment& experiment) {
   options.fault_cell = experiment.fault_cell;
   return options;
 }
+
+namespace {
 
 /// One reference-input instance per app, one per core, classified from
 /// `db` (apps missing from it run unclassified).

@@ -101,6 +101,10 @@ struct Experiment {
 [[nodiscard]] MemSystemConfig memsys_for(SystemChoice choice,
                                          const Experiment& experiment);
 
+/// Options every measured run shares: budget, warm-up, observability, the
+/// adaptive engine and the fault plan (profiling runs build their own).
+[[nodiscard]] SystemOptions measured_options(const Experiment& experiment);
+
 /// Runs a workload (1..N apps on as many cores) under one system choice
 /// with reference inputs. `context` carries the supervisor's deadline and
 /// interrupt flag; the run throws CancelledError when either fires.

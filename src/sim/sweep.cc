@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <ostream>
@@ -51,14 +50,6 @@ std::string to_string(SweepOutcome::FailureKind kind) {
 
 unsigned SweepRunner::resolve_workers(unsigned requested) {
   if (requested != 0) return requested;
-  if (const char* env = std::getenv("MOCA_SIM_JOBS"); env != nullptr) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    MOCA_CHECK_MSG(end != env && *end == '\0' && value > 0,
-                   "MOCA_SIM_JOBS must be a positive integer, got '"
-                       << env << "'");
-    return static_cast<unsigned>(value);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

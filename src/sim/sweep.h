@@ -90,8 +90,9 @@ struct SweepOutcome {
 /// Fixed-size worker pool executing sweep jobs concurrently.
 class SweepRunner {
  public:
-  /// workers == 0 resolves the pool size from the MOCA_SIM_JOBS environment
-  /// variable, falling back to std::thread::hardware_concurrency().
+  /// workers == 0 sizes the pool to std::thread::hardware_concurrency()
+  /// (at least 1). Users pick a size through --jobs / MOCA_SIM_JOBS
+  /// (ExperimentOptions::make_runner).
   explicit SweepRunner(unsigned workers = 0);
 
   [[nodiscard]] unsigned workers() const { return workers_; }
@@ -117,8 +118,8 @@ class SweepRunner {
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 
-  /// Resolves the worker count the way the constructor does; exposed for
-  /// CLI/bench flag handling (--jobs overrides, 0 = auto).
+  /// Resolves the worker count the way the constructor does: `requested`,
+  /// or all hardware threads when it is 0.
   [[nodiscard]] static unsigned resolve_workers(unsigned requested);
 
  private:

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -190,7 +191,8 @@ void clear_sim_env() {
        {"MOCA_SIM_INSTR", "MOCA_SIM_WARMUP", "MOCA_SIM_CONFIG",
         "MOCA_SIM_EPOCH", "MOCA_SIM_TRACE", "MOCA_SIM_JOBS",
         "MOCA_SWEEP_LOG", "MOCA_SIM_FAULTS", "MOCA_SIM_TIMEOUT_MS",
-        "MOCA_SIM_RETRIES", "MOCA_SIM_AUDIT"}) {
+        "MOCA_SIM_RETRIES", "MOCA_SIM_ISOLATE", "MOCA_SIM_RLIMIT_AS_MB",
+        "MOCA_SIM_RLIMIT_CPU_S", "MOCA_SIM_AUDIT", "MOCA_SIM_ADAPTIVE"}) {
     unsetenv(name);
   }
 }
@@ -207,7 +209,11 @@ TEST(ExperimentOptionsTest, EnvOverlaysEveryKnob) {
   setenv("MOCA_SIM_FAULTS", "job:fail:attempts=1", 1);
   setenv("MOCA_SIM_TIMEOUT_MS", "2500", 1);
   setenv("MOCA_SIM_RETRIES", "5", 1);
+  setenv("MOCA_SIM_ISOLATE", "1", 1);
+  setenv("MOCA_SIM_RLIMIT_AS_MB", "512", 1);
+  setenv("MOCA_SIM_RLIMIT_CPU_S", "30", 1);
   setenv("MOCA_SIM_AUDIT", "1", 1);
+  setenv("MOCA_SIM_ADAPTIVE", "window=6", 1);
 
   const ExperimentOptions o = ExperimentOptions::from_env();
   EXPECT_EQ(o.experiment.instructions, 123'000u);
@@ -223,7 +229,12 @@ TEST(ExperimentOptionsTest, EnvOverlaysEveryKnob) {
   EXPECT_DOUBLE_EQ(o.supervisor.timeout_ms, 2500.0);
   EXPECT_EQ(o.supervisor.max_attempts, 5u);
   EXPECT_TRUE(o.supervised);
+  EXPECT_TRUE(o.supervisor.isolate);
+  EXPECT_EQ(o.supervisor.rlimit_as_bytes, 512ull << 20);
+  EXPECT_EQ(o.supervisor.rlimit_cpu_seconds, 30u);
   EXPECT_TRUE(o.experiment.observability.audit);
+  ASSERT_TRUE(o.experiment.adaptive.has_value());
+  EXPECT_EQ(o.experiment.adaptive->window_epochs, 6u);
   clear_sim_env();
 }
 
@@ -258,13 +269,18 @@ TEST(ExperimentOptionsTest, FlagBeatsEnvOnEveryConflictingKnob) {
   setenv("MOCA_SIM_FAULTS", "job:fail", 1);
   setenv("MOCA_SIM_TIMEOUT_MS", "1000", 1);
   setenv("MOCA_SIM_RETRIES", "2", 1);
+  setenv("MOCA_SIM_ISOLATE", "1", 1);
+  setenv("MOCA_SIM_RLIMIT_AS_MB", "100", 1);
+  setenv("MOCA_SIM_RLIMIT_CPU_S", "10", 1);
+  setenv("MOCA_SIM_ADAPTIVE", "on", 1);
 
   ExperimentOptions o = ExperimentOptions::from_env();
   o.apply_flags(parse_vec({
       "--instr", "222000", "--warmup", "3000", "--config", "3",
       "--epoch", "6000", "--trace-out", "/tmp/flag.json", "--jobs", "8",
       "--fault-plan", "alloc:p=0.5", "--timeout-ms", "9000",
-      "--retries", "7",
+      "--retries", "7", "--isolate", "--rlimit-as-mb", "200",
+      "--rlimit-cpu-s", "20", "--adaptive", "off",
   }));
   EXPECT_EQ(o.experiment.instructions, 222'000u);
   EXPECT_EQ(o.experiment.warmup, 3000u);
@@ -276,6 +292,53 @@ TEST(ExperimentOptionsTest, FlagBeatsEnvOnEveryConflictingKnob) {
   EXPECT_DOUBLE_EQ(o.supervisor.timeout_ms, 9000.0);
   EXPECT_EQ(o.supervisor.max_attempts, 7u);
   EXPECT_TRUE(o.supervised);
+  EXPECT_TRUE(o.supervisor.isolate);
+  EXPECT_EQ(o.supervisor.rlimit_as_bytes, 200ull << 20);
+  EXPECT_EQ(o.supervisor.rlimit_cpu_seconds, 20u);
+  EXPECT_FALSE(o.experiment.adaptive.has_value());
+  clear_sim_env();
+}
+
+/// Expects `value` to be rejected both as `--flag value` and as `env=value`.
+void expect_rejected_both_ways(const std::string& flag, const char* env,
+                               const std::string& value) {
+  clear_sim_env();
+  setenv(env, value.c_str(), 1);
+  EXPECT_THROW((void)ExperimentOptions::from_env(), CheckError)
+      << env << "='" << value << "'";
+  clear_sim_env();
+  ExperimentOptions o = ExperimentOptions::from_env();
+  EXPECT_THROW(o.apply_flags(parse_vec({"--" + flag, value})), CheckError)
+      << "--" << flag << " '" << value << "'";
+}
+
+TEST(ExperimentOptionsTest, EnvAndFlagRejectTheSameValues) {
+  // Regression: the environment spellings of the rlimit caps accepted 0
+  // (isolation with no cap) while the flags rejected it.
+  for (const auto& [flag, env] :
+       std::vector<std::pair<std::string, const char*>>{
+           {"instr", "MOCA_SIM_INSTR"},
+           {"retries", "MOCA_SIM_RETRIES"},
+           {"rlimit-as-mb", "MOCA_SIM_RLIMIT_AS_MB"},
+           {"rlimit-cpu-s", "MOCA_SIM_RLIMIT_CPU_S"}}) {
+    expect_rejected_both_ways(flag, env, "0");
+  }
+  // An empty path or engine spec is no value either way.
+  expect_rejected_both_ways("trace-out", "MOCA_SIM_TRACE", "");
+  expect_rejected_both_ways("adaptive", "MOCA_SIM_ADAPTIVE", "");
+}
+
+TEST(ExperimentOptionsTest, JobsFromEitherSpelling) {
+  // Regression: MOCA_SIM_JOBS=0 was rejected while --jobs 0 was accepted.
+  clear_sim_env();
+  setenv("MOCA_SIM_JOBS", "5", 1);
+  ExperimentOptions o = ExperimentOptions::from_env();
+  EXPECT_EQ(o.make_runner().workers(), 5u);
+  o.apply_flags(parse_vec({"--jobs", "6"}));
+  EXPECT_EQ(o.make_runner().workers(), 6u);
+  for (const std::string value : {"banana", "0", "4x", ""}) {
+    expect_rejected_both_ways("jobs", "MOCA_SIM_JOBS", value);
+  }
   clear_sim_env();
 }
 

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+#include "common/fault_injection.h"
 #include "moca/policies.h"
 #include "sim/runner.h"
 #include "trace/record.h"
@@ -209,6 +211,32 @@ TEST(Replay, DeterministicAcrossRuns) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.llc_misses, b.llc_misses);
   EXPECT_EQ(a.total_mem_access_time, b.total_mem_access_time);
+}
+
+TEST(Replay, ArmedTraceClausesApply) {
+  TempFile file("moca_trace_replay_faults.trc");
+  RecordOptions options;
+  options.ops = 20'000;
+  (void)record_app_trace(workload::app_by_name("gcc"), file.path, options);
+  const auto replay = [&](FaultInjector* injector) {
+    ReplayOptions replay_options;
+    replay_options.injector = injector;
+    return replay_trace(
+        file.path, sim::homogeneous(dram::MemKind::kDdr3),
+        std::make_unique<core::HomogeneousPolicy>(dram::MemKind::kDdr3),
+        replay_options);
+  };
+  const ReplayResult clean = replay(nullptr);
+
+  FaultInjector corrupt(FaultPlan::parse("trace:corrupt=5"), 1);
+  EXPECT_THROW((void)replay(&corrupt), RetryableError);
+
+  // Truncated at record 100, the stream loops over a tiny footprint: the
+  // same one-pass budget commits with far fewer misses.
+  FaultInjector truncate(FaultPlan::parse("trace:truncate=100"), 1);
+  const ReplayResult truncated = replay(&truncate);
+  EXPECT_EQ(truncated.instructions, clean.instructions);
+  EXPECT_LT(truncated.llc_misses, clean.llc_misses);
 }
 
 }  // namespace

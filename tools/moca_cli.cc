@@ -417,13 +417,20 @@ int cmd_record(const ParsedArgs& args) {
 
 int cmd_replay(const ParsedArgs& args) {
   MOCA_CHECK_MSG(args.positional.size() == 1, "replay needs one trace file");
-  const sim::Experiment e = options_from(args).experiment;
+  const sim::ExperimentOptions exp_options = options_from(args);
+  const sim::Experiment& e = exp_options.experiment;
   const std::string system = args.get("system", "moca");
   const auto choice = parse_system(system);
   MOCA_CHECK_MSG(choice.has_value(), "unknown system: " << system);
 
-  trace::ReplayOptions options;
-  options.instructions = args.get_u64("instr", 0);
+  trace::ReplayOptions options;  // no --instr/MOCA_SIM_INSTR: one full pass
+  if (exp_options.instructions_overridden) {
+    options.instructions = e.instructions;
+  }
+  std::optional<FaultInjector> injector;  // trace:* clauses need one armed
+  if (!e.faults.empty()) {
+    options.injector = &injector.emplace(e.faults, e.ref_seed);
+  }
   const trace::ReplayResult r =
       trace::replay_trace(args.positional[0], sim::memsys_for(*choice, e),
                           sim::make_policy(*choice), options);
@@ -478,10 +485,6 @@ int cmd_run_file(const ParsedArgs& args) {
   const auto choice = parse_system(system);
   MOCA_CHECK_MSG(choice.has_value(), "unknown system: " << system);
 
-  sim::SystemOptions options;
-  options.instructions_per_core = e.instructions;
-  options.warmup_instructions = e.effective_warmup();
-  options.observability = e.observability;
   sim::AppInstance inst;
   inst.spec = app;
   inst.seed = e.ref_seed;
@@ -493,7 +496,7 @@ int cmd_run_file(const ParsedArgs& args) {
   instances.push_back(std::move(inst));
   sim::System system_obj(sim::memsys_for(*choice, e),
                          sim::make_policy(*choice), std::move(instances),
-                         options);
+                         sim::measured_options(e));
   const sim::RunResult r = system_obj.run();
   if (args.has("json")) {
     std::cout << sim::to_json(r) << '\n';
