@@ -1,8 +1,26 @@
 #include "common/chrome_trace.h"
 
+#include <cstdio>
+
+#include "common/check.h"
 #include "common/json.h"
 
 namespace moca {
+namespace {
+
+/// Picoseconds as an exact decimal count of microseconds, the trace-event
+/// unit: 1234567891 -> "1234.567891". A double through the stream keeps
+/// only 6 significant digits, so timestamps past 1 s would lose precision.
+std::string micros(TimePs ps) {
+  MOCA_CHECK_MSG(ps >= 0, "negative trace time " << ps);
+  char text[32];
+  std::snprintf(text, sizeof text, "%lld.%06lld",
+                static_cast<long long>(ps / 1'000'000),
+                static_cast<long long>(ps % 1'000'000));
+  return text;
+}
+
+}  // namespace
 
 void ChromeTrace::instant(
     std::string name, std::string category, TimePs ts,
@@ -37,13 +55,8 @@ std::string chrome_trace_json(const std::vector<ChromeTraceEvent>& events) {
     w.key("name").value(ev.name);
     w.key("cat").value(ev.category);
     w.key("ph").value(std::string(1, ev.phase));
-    // The trace-event spec counts in microseconds; simulated picoseconds
-    // divide exactly, so emit them as a double without precision loss for
-    // any plausible run length.
-    w.key("ts").value(static_cast<double>(ev.ts) * 1e-6);
-    if (ev.phase == 'X') {
-      w.key("dur").value(static_cast<double>(ev.dur) * 1e-6);
-    }
+    w.key("ts").number(micros(ev.ts));
+    if (ev.phase == 'X') w.key("dur").number(micros(ev.dur));
     if (ev.phase == 'i') w.key("s").value("p");  // process-scoped instant
     w.key("pid").value(std::uint64_t{0});
     w.key("tid").value(static_cast<std::uint64_t>(ev.tid));

@@ -51,7 +51,8 @@ class ChromeTrace {
 };
 
 /// Serializes events as a Chrome trace JSON object ("traceEvents" array,
-/// microsecond timestamps). Deterministic: depends only on the events.
+/// microsecond timestamps with six exact decimals). Deterministic: depends
+/// only on the events.
 [[nodiscard]] std::string chrome_trace_json(
     const std::vector<ChromeTraceEvent>& events);
 

@@ -81,6 +81,12 @@ class JsonWriter {
     out_ << (v ? "true" : "false");
     return *this;
   }
+  /// Emits `literal` unquoted; the caller guarantees it is a JSON number.
+  JsonWriter& number(const std::string& literal) {
+    prefix();
+    out_ << literal;
+    return *this;
+  }
 
   /// Final document; all scopes must be closed.
   [[nodiscard]] std::string str() const {

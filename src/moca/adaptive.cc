@@ -12,6 +12,13 @@ namespace {
 /// cache::kNoObject without pulling the cache headers into this layer.
 constexpr std::uint64_t kNoObject = ~std::uint64_t{0};
 
+/// Copy-rate ceiling for parsed specs (docs/adaptive.md): 32 page copies
+/// per 50,000 cycles stay inside LPDDR2's service rate. A faster sustained
+/// rate grows its queue without bound, starves demand misses and runs the
+/// simulation into its cycle limit.
+constexpr std::uint64_t kRatePages = 32;
+constexpr std::uint64_t kRateCycles = 50'000;
+
 /// Speed order of the classes' home kinds: LPDDR < HBM < RLDRAM. A move to
 /// a higher rank is a promotion.
 [[nodiscard]] int class_rank(os::MemClass c) {
@@ -117,7 +124,7 @@ void AdaptiveEngine::record_stall(os::ProcessId /*pid*/,
 
 void AdaptiveEngine::place_pages(ObjectState& state,
                                  const ObjectInstance& instance,
-                                 std::uint32_t* budget, bool* any_remap) {
+                                 std::uint32_t* budget) {
   os::PreferenceChain chain;
   os::chain_for_class(state.current, chain);
   os::PhysicalMemory& phys = os_.physical_memory();
@@ -147,15 +154,10 @@ void AdaptiveEngine::place_pages(ObjectState& state,
         break;
       }
       for (const std::uint32_t target : candidates) {
-        if (const auto result = os_.try_remap(instance.pid, vpn, target)) {
-          if (copy_) {
-            copy_(result->old_pfn << kPageShift,
-                  result->new_pfn << kPageShift);
-          }
+        if (os_.try_remap(instance.pid, vpn, target)) {
           stats_.copied_lines += kPageBytes / kLineBytes;
           ++stats_.moved_pages;
           --*budget;
-          *any_remap = true;
           placed = true;
           break;
         }
@@ -167,7 +169,7 @@ void AdaptiveEngine::place_pages(ObjectState& state,
   state.placing = false;
 }
 
-void AdaptiveEngine::run_epoch() {
+bool AdaptiveEngine::run_epoch() {
   ++stats_.epochs;
   const std::uint64_t epoch = stats_.epochs;
 
@@ -206,7 +208,6 @@ void AdaptiveEngine::run_epoch() {
 
   // Decision pass: re-run the threshold function on the windowed stats.
   std::uint32_t moves = 0;
-  bool any_remap = false;
   for (std::uint64_t id = 0; id < states_.size(); ++id) {
     ObjectState& state = states_[id];
     if (!state.tracked) continue;
@@ -290,9 +291,9 @@ void AdaptiveEngine::run_epoch() {
       state.placing = false;  // freed mid-placement: nothing left to move
       continue;
     }
-    place_pages(state, instance, &budget, &any_remap);
+    place_pages(state, instance, &budget);
   }
-  if (any_remap && shootdown_) shootdown_();  // batched TLB invalidation
+  return budget < config_.max_pages_per_epoch;  // a page moved
 }
 
 os::MemClass AdaptiveEngine::current_class(std::uint64_t object_id) const {
@@ -377,6 +378,19 @@ std::optional<AdaptiveConfig> parse_adaptive_spec(const std::string& spec) {
       MOCA_CHECK_MSG(false, "unknown adaptive spec key '" << key << "'");
     }
   }
+  // Shortest epoch that keeps max-pages within the rate (rounded up; the
+  // product stays far below 2^64 because max-pages is 32-bit).
+  const std::uint64_t min_epoch =
+      (std::uint64_t{config.max_pages_per_epoch} * kRateCycles +
+       kRatePages - 1) /
+      kRatePages;
+  MOCA_CHECK_MSG(static_cast<std::uint64_t>(config.epoch_cycles) >= min_epoch,
+                 "adaptive max-pages=" << config.max_pages_per_epoch
+                     << " per epoch=" << config.epoch_cycles
+                     << " copies faster than " << kRatePages
+                     << " pages per " << kRateCycles
+                     << " cycles; lower max-pages or raise epoch to at least "
+                     << min_epoch);
   return config;
 }
 

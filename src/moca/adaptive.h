@@ -37,7 +37,6 @@
 #include "common/time.h"
 #include "moca/classifier.h"
 #include "moca/object_registry.h"
-#include "os/migration.h"
 #include "os/os.h"
 
 namespace moca::core {
@@ -112,10 +111,6 @@ struct AdaptiveStats {
 /// Epoch-driven online object reclassifier over the existing OS mappings.
 class AdaptiveEngine {
  public:
-  /// Same hook types the page-migration daemon uses: copy-traffic
-  /// injection per moved page and one batched TLB shootdown per epoch.
-  using CopyHook = os::PageMigrator::CopyHook;
-  using ShootdownHook = os::PageMigrator::ShootdownHook;
   /// Committed-instruction reader for one process; windowed MPKI is
   /// per-object misses over per-process instructions (Sec. III-B).
   using InstructionSource = std::function<std::uint64_t(os::ProcessId)>;
@@ -131,14 +126,11 @@ class AdaptiveEngine {
 
   /// Closes the epoch: folds the accumulators into every tracked object's
   /// window, re-runs the threshold function, and moves reclassified
-  /// objects (capacity- and rate-limited), ending with one batched
-  /// shootdown if anything moved.
-  void run_epoch();
+  /// objects (capacity- and rate-limited; Os::try_remap issues each page's
+  /// copy traffic). Returns true when a page moved; the caller then owes
+  /// every core one TLB shootdown.
+  [[nodiscard]] bool run_epoch();
 
-  void set_copy_hook(CopyHook hook) { copy_ = std::move(hook); }
-  void set_shootdown_hook(ShootdownHook hook) {
-    shootdown_ = std::move(hook);
-  }
   void set_instruction_source(InstructionSource source) {
     instructions_ = std::move(source);
   }
@@ -196,13 +188,11 @@ class AdaptiveEngine {
   /// state.placing once the scan reaches the object's last page; a page no
   /// kind in the chain can host is counted denied and left where it is.
   void place_pages(ObjectState& state, const ObjectInstance& instance,
-                   std::uint32_t* budget, bool* any_remap);
+                   std::uint32_t* budget);
 
   os::Os& os_;
   const ObjectRegistry& registry_;
   AdaptiveConfig config_;
-  CopyHook copy_;
-  ShootdownHook shootdown_;
   InstructionSource instructions_;
   std::vector<ObjectState> states_;  // indexed by dense object id
   std::vector<ProcessWindow> processes_;
@@ -224,7 +214,9 @@ class AdaptiveEngine {
 ///     min-misses=N   min_window_misses
 ///     thr-lat=F      thresholds.thr_lat      (> 0)
 ///     thr-bw=F       thresholds.thr_bw       (> 0)
-/// Throws CheckError on unknown keys or out-of-range values.
+/// Throws CheckError on unknown keys or out-of-range values, and on a page
+/// budget that copies faster than 32 pages per 50,000 cycles
+/// (max-pages * 50000 > 32 * epoch), which no module tier can sustain.
 [[nodiscard]] std::optional<AdaptiveConfig> parse_adaptive_spec(
     const std::string& spec);
 

@@ -18,11 +18,7 @@ void PageMigrator::record_miss(ProcessId pid, VirtAddr vaddr) {
 }
 
 bool PageMigrator::remap(const PageRef& page, std::uint32_t target_module) {
-  const auto result = os_.try_remap(page.pid, page.vpn, target_module);
-  if (!result) return false;
-  if (copy_) {
-    copy_(result->old_pfn << kPageShift, result->new_pfn << kPageShift);
-  }
+  if (!os_.try_remap(page.pid, page.vpn, target_module)) return false;
   stats_.copied_lines += kPageBytes / kLineBytes;
   return true;
 }
@@ -59,7 +55,7 @@ bool PageMigrator::promote(const PageRef& page, std::uint32_t target_module) {
   return false;
 }
 
-void PageMigrator::run_epoch() {
+bool PageMigrator::run_epoch() {
   ++stats_.epochs;
   PhysicalMemory& phys = os_.physical_memory();
   std::vector<std::uint32_t> fast =
@@ -69,7 +65,7 @@ void PageMigrator::run_epoch() {
   }
   if (fast.empty()) {
     heat_.clear();
-    return;
+    return false;
   }
   const std::unordered_set<std::uint32_t> fast_set(fast.begin(), fast.end());
 
@@ -82,7 +78,6 @@ void PageMigrator::run_epoch() {
             [](const auto& a, const auto& b) { return a.first > b.first; });
 
   std::uint32_t moved = 0;
-  bool any_remap = false;
   for (const auto& [count, k] : hot) {
     if (moved >= config_.max_migrations_per_epoch) break;
     PageRef page;
@@ -104,13 +99,12 @@ void PageMigrator::run_epoch() {
     }
     if (placed) {
       ++moved;
-      any_remap = true;
     } else {
       ++stats_.denied_no_space;
     }
   }
-  if (any_remap && shootdown_) shootdown_();  // batched TLB invalidation
   heat_.clear();
+  return moved > 0;
 }
 
 void PageMigrator::register_stats(StatRegistry& registry,

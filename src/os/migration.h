@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -42,24 +41,15 @@ struct MigrationStats {
 /// Epoch-based hot-page promoter over the existing OS mappings.
 class PageMigrator {
  public:
-  /// Injects the DRAM traffic of copying one page (reads of the old frame,
-  /// writes of the new one).
-  using CopyHook = std::function<void(PhysAddr old_page, PhysAddr new_page)>;
-  /// Invalidates every core's TLB after remaps.
-  using ShootdownHook = std::function<void()>;
-
   PageMigrator(Os& os, MigrationConfig config);
 
   /// Called per demand LLC miss (performance-counter sampling).
   void record_miss(ProcessId pid, VirtAddr vaddr);
 
-  /// Runs one migration pass and resets the epoch's heat counters.
-  void run_epoch();
-
-  void set_copy_hook(CopyHook hook) { copy_ = std::move(hook); }
-  void set_shootdown_hook(ShootdownHook hook) {
-    shootdown_ = std::move(hook);
-  }
+  /// Runs one migration pass and resets the epoch's heat counters. Each
+  /// move's copy traffic is issued by Os::try_remap. Returns true when a
+  /// page moved; the caller then owes every core one TLB shootdown.
+  [[nodiscard]] bool run_epoch();
 
   /// Registers the daemon's activity counters under `prefix` (e.g.
   /// "migration") plus a gauge of currently heat-tracked pages.
@@ -87,8 +77,6 @@ class PageMigrator {
 
   Os& os_;
   MigrationConfig config_;
-  CopyHook copy_;
-  ShootdownHook shootdown_;
   std::unordered_map<std::uint64_t, std::uint32_t> heat_;
   /// Pages this engine promoted, per module index, oldest first — the
   /// demotion candidates when a fast module fills up.

@@ -96,6 +96,10 @@ std::optional<Os::RemapResult> Os::try_remap(ProcessId pid, Vpn vpn,
   MOCA_CHECK(stats_.frames_per_module[old_module] > 0);
   --stats_.frames_per_module[old_module];
   ++stats_.frames_per_module[target_module];
+  for (std::uint64_t off = 0; off < kPageBytes; off += kLineBytes) {
+    phys_.access((old_pfn << kPageShift) + off, false, nullptr);
+    phys_.access((*new_pfn << kPageShift) + off, true, nullptr);
+  }
   return RemapResult{old_pfn, *new_pfn};
 }
 

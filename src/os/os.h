@@ -62,8 +62,11 @@ class Os {
     Pfn new_pfn = 0;
   };
   /// Moves an existing mapping onto a frame of `target_module` (page
-  /// migration). Returns nullopt when the target module is full. The
-  /// caller is responsible for modelling copy traffic and TLB shootdown.
+  /// migration) and issues the page copy as DRAM traffic: for each line, a
+  /// read of the old frame then a write of the new one, fire-and-forget.
+  /// Returns nullopt when the target module is full. Stale TLB entries are
+  /// the caller's to flush, so a pass that moves many pages pays one
+  /// shootdown.
   std::optional<RemapResult> try_remap(ProcessId pid, Vpn vpn,
                                        std::uint32_t target_module);
 

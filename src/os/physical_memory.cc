@@ -72,6 +72,13 @@ PhysicalMemory::Location PhysicalMemory::locate(PhysAddr addr) const {
   return {};
 }
 
+void PhysicalMemory::access(PhysAddr addr, bool is_write,
+                            std::function<void(TimePs)> on_complete) {
+  const Location loc = locate(addr);
+  entries_[loc.module_index].module->access(loc.local_addr, is_write,
+                                            std::move(on_complete));
+}
+
 const std::vector<std::uint32_t>& PhysicalMemory::modules_of_kind(
     dram::MemKind kind) const {
   const auto index = static_cast<std::size_t>(kind);

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -45,7 +46,7 @@ class FrameAllocator {
 
 /// The machine's physical memory: a list of modules with contiguous global
 /// frame ranges, each with its own allocator. Routes physical addresses to
-/// (module, module-local address).
+/// (module, module-local address), and line accesses to the owning module.
 class PhysicalMemory {
  public:
   /// Registers a module; returns its index. Modules are referenced but not
@@ -62,6 +63,11 @@ class PhysicalMemory {
   };
   /// Decomposes a global physical address.
   [[nodiscard]] Location locate(PhysAddr addr) const;
+
+  /// Issues a line-sized access at global physical address `addr` to the
+  /// module that owns it; `on_complete` may be empty (fire-and-forget).
+  void access(PhysAddr addr, bool is_write,
+              std::function<void(TimePs)> on_complete);
 
   [[nodiscard]] std::uint32_t module_count() const {
     return static_cast<std::uint32_t>(entries_.size());

@@ -10,6 +10,17 @@ constexpr std::uint64_t scaled_mib(std::uint64_t paper_mib) {
 }
 }  // namespace
 
+std::unique_ptr<dram::MemoryModule> make_module(const ModuleSpec& spec,
+                                                EventQueue& events) {
+  dram::DeviceConfig device = dram::make_device(spec.kind);
+  if (spec.interleave_granule_bytes != 0) {
+    device.geometry.interleave_granule_bytes = spec.interleave_granule_bytes;
+  }
+  return std::make_unique<dram::MemoryModule>(
+      std::move(device), spec.capacity_bytes, spec.attached_channels, events,
+      spec.name);
+}
+
 MemSystemConfig homogeneous(dram::MemKind kind) {
   // Short names follow the paper's figure legends (Homogen-LP, Homogen-RL).
   const char* short_name = "";

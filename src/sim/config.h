@@ -8,10 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/event_queue.h"
 #include "common/units.h"
+#include "dram/module.h"
 #include "dram/types.h"
 
 namespace moca::sim {
@@ -28,6 +31,11 @@ struct ModuleSpec {
   /// (row-buffer granule, Table I's RoRaBaChCo).
   std::uint64_t interleave_granule_bytes = 0;
 };
+
+/// Builds the module `spec` describes on `events`, with its interleave
+/// override applied: the one way System and trace replay build memory.
+[[nodiscard]] std::unique_ptr<dram::MemoryModule> make_module(
+    const ModuleSpec& spec, EventQueue& events);
 
 struct MemSystemConfig {
   std::string name;

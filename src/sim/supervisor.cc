@@ -12,7 +12,6 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -425,12 +424,6 @@ SweepOutcome SweepSupervisor::supervise_cell(
     }
     // A retryable kind that outlives the budget is final as it stands.
     if (!attempt.retryable || ordinal + 1 >= options_.max_attempts) break;
-    if (options_.backoff_ms > 0.0) {
-      const double delay = options_.backoff_ms *
-                           static_cast<double>(std::uint64_t{1} << ordinal);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay));
-    }
   }
   SweepOutcome& out = attempt.out;
   out.job_id = cell;

@@ -1,4 +1,4 @@
-// Supervised sweeps: wall-clock timeouts, bounded retry with backoff,
+// Supervised sweeps: wall-clock timeouts, bounded immediate retry,
 // quarantine and crash-safe resume on top of SweepRunner.
 //
 // The plain SweepRunner runs every cell exactly once and captures failures
@@ -11,11 +11,12 @@
 //               RunContext; System::run checks it at its 4096-cycle poll
 //               and throws CancelledError once it passes (kind =
 //               timed_out).
-//   retry       attempts failing with RetryableError re-run (with
-//               exponential backoff) up to max_attempts; the retry ordinal
-//               feeds Experiment::fault_attempt so `attempts=k` fault
-//               clauses model genuinely transient faults. A cell whose
-//               retries are exhausted is quarantined, not retried forever.
+//   retry       attempts failing with RetryableError re-run at once, up
+//               to max_attempts (no host-side delay, so retry behaviour
+//               never depends on timing); the retry ordinal feeds
+//               Experiment::fault_attempt so `attempts=k` fault clauses
+//               model genuinely transient faults. A cell whose retries
+//               are exhausted is quarantined, not retried forever.
 //   journal     every finished cell appends one line to an append-only
 //               journal and fsyncs before the cell counts as durable; a
 //               killed sweep restarted with resume=true re-runs only the
@@ -60,10 +61,6 @@ struct SupervisorOptions {
   /// Attempts per cell (first try + retries) for RetryableError failures;
   /// clamped to >= 1. Timeouts and permanent errors never retry.
   std::uint32_t max_attempts = 3;
-  /// Base host-side backoff before the first retry, doubling per further
-  /// retry; 0 retries immediately (the deterministic default — tests rely
-  /// on retry behaviour being timing-independent).
-  double backoff_ms = 0.0;
   /// Append-only journal path; empty runs without crash safety.
   std::string journal_path;
   /// Load finished cells from journal_path before running (crash

@@ -20,6 +20,24 @@ double RunResult::system_throughput() const {
                   ps_to_seconds(exec_time));
 }
 
+template <class Tick>
+void System::every(TimePs period, Tick tick) {
+  struct Repeat {
+    System* system;
+    TimePs period;
+    Tick tick;
+    void operator()() const {
+      if (tick()) {
+        system->events_.schedule(system->events_.now() + period, *this);
+      }
+    }
+  };
+  static_assert(sizeof(Repeat) <= EventCallback::kInlineBytes,
+                "a tick must not cost a heap allocation");
+  events_.schedule(events_.now() + period,
+                   Repeat{this, period, std::move(tick)});
+}
+
 System::System(const MemSystemConfig& memsys,
                std::unique_ptr<os::AllocationPolicy> policy,
                std::vector<AppInstance> apps, SystemOptions options)
@@ -46,90 +64,36 @@ System::System(const MemSystemConfig& memsys,
   }
 
   for (const ModuleSpec& spec : memsys_.modules) {
-    dram::DeviceConfig device = dram::make_device(spec.kind);
-    if (spec.interleave_granule_bytes != 0) {
-      device.geometry.interleave_granule_bytes =
-          spec.interleave_granule_bytes;
-    }
-    modules_.push_back(std::make_unique<dram::MemoryModule>(
-        std::move(device), spec.capacity_bytes, spec.attached_channels,
-        events_, spec.name));
+    modules_.push_back(make_module(spec, events_));
     modules_.back()->set_fault_injector(injector_.get());
     phys_.add_module(modules_.back().get());
   }
   phys_.set_fault_injector(injector_.get());
   os_ = std::make_unique<os::Os>(phys_, *policy_);
 
+  // Both page movers close an epoch every epoch_cycles; Os::try_remap
+  // issues each move's copy traffic, and a pass that moved a page ends
+  // with one batched TLB shootdown.
   if (options_.migration.has_value()) {
     migrator_ = std::make_unique<os::PageMigrator>(*os_,
                                                    *options_.migration);
-    migrator_->set_copy_hook(
-        [this](os::PhysAddr old_page, os::PhysAddr new_page) {
-          // Copy traffic: read every line of the old frame, write every
-          // line of the new one (fire-and-forget DRAM requests).
-          for (std::uint64_t off = 0; off < kPageBytes; off += kLineBytes) {
-            const os::PhysicalMemory::Location src =
-                phys_.locate(old_page + off);
-            modules_[src.module_index]->access(src.local_addr, false,
-                                               nullptr);
-            const os::PhysicalMemory::Location dst =
-                phys_.locate(new_page + off);
-            modules_[dst.module_index]->access(dst.local_addr, true,
-                                               nullptr);
-          }
-        });
-    migrator_->set_shootdown_hook([this] {
-      for (PerCore& pc : cores_) pc.core->flush_tlb();
+    every(options_.migration->epoch_cycles * kCpuCyclePs, [this] {
+      if (migrator_->run_epoch()) flush_tlbs();
+      return true;
     });
-    // Periodic, self-rescheduling migration epochs.
-    struct Epoch {
-      System* system;
-      TimePs period;
-      void operator()() const {
-        system->migrator_->run_epoch();
-        system->events_.schedule(system->events_.now() + period, *this);
-      }
-    };
-    const TimePs period = options_.migration->epoch_cycles * kCpuCyclePs;
-    events_.schedule(period, Epoch{this, period});
   }
 
   if (options_.adaptive.has_value()) {
     adaptive_ = std::make_unique<core::AdaptiveEngine>(*os_, registry_,
                                                        *options_.adaptive);
-    adaptive_->set_copy_hook(
-        [this](os::PhysAddr old_page, os::PhysAddr new_page) {
-          // Same copy-traffic model as the migration daemon: read every
-          // line of the old frame, write every line of the new one.
-          for (std::uint64_t off = 0; off < kPageBytes; off += kLineBytes) {
-            const os::PhysicalMemory::Location src =
-                phys_.locate(old_page + off);
-            modules_[src.module_index]->access(src.local_addr, false,
-                                               nullptr);
-            const os::PhysicalMemory::Location dst =
-                phys_.locate(new_page + off);
-            modules_[dst.module_index]->access(dst.local_addr, true,
-                                               nullptr);
-          }
-        });
-    adaptive_->set_shootdown_hook([this] {
-      for (PerCore& pc : cores_) pc.core->flush_tlb();
-    });
     adaptive_->set_instruction_source([this](os::ProcessId pid) {
       // Process pids are created in core order, so pid indexes cores_.
       return cores_[pid].core->stats().committed;
     });
-    struct AdaptiveEpoch {
-      System* system;
-      TimePs period;
-      void operator()() const {
-        system->adaptive_->run_epoch();
-        system->events_.schedule(system->events_.now() + period, *this);
-      }
-    };
-    const TimePs period =
-        options_.adaptive->epoch_cycles * kCpuCyclePs;
-    events_.schedule(period, AdaptiveEpoch{this, period});
+    every(options_.adaptive->epoch_cycles * kCpuCyclePs, [this] {
+      if (adaptive_->run_epoch()) flush_tlbs();
+      return true;
+    });
   }
 
   for (std::size_t i = 0; i < apps_.size(); ++i) {
@@ -152,9 +116,7 @@ System::System(const MemSystemConfig& memsys,
         options_.l1, options_.l2, events_,
         [this](std::uint64_t paddr, bool is_write,
                std::function<void(TimePs)> on_complete) {
-          const os::PhysicalMemory::Location loc = phys_.locate(paddr);
-          modules_[loc.module_index]->access(loc.local_addr, is_write,
-                                             std::move(on_complete));
+          phys_.access(paddr, is_write, std::move(on_complete));
         });
     if (options_.prefetch_degree > 0) {
       pc.hierarchy->enable_next_line_prefetch(options_.prefetch_degree);
@@ -247,26 +209,21 @@ void System::register_observability() {
     next_epoch_boundary_ = options_.observability.epoch_instructions;
   }
 
-  // Periodic, self-rescheduling observability tick (same pattern as the
-  // migration epochs). The quantum trades boundary precision against event
-  // count: a quarter epoch while sampling means a boundary fires at most
-  // ~N/4 instructions late at IPC 1; trace-only runs need just a coarse
-  // pulse to detect migration bursts and fallback spills.
-  struct Tick {
-    System* system;
-    TimePs period;
-    void operator()() const {
-      system->epoch_tick();
-      if (!system->sampling_stopped_) {
-        system->events_.schedule(system->events_.now() + period, *this);
-      }
-    }
-  };
+  // The quantum trades boundary precision against event count: a quarter
+  // epoch while sampling means a boundary fires at most ~N/4 instructions
+  // late at IPC 1; trace-only runs need just a coarse pulse to detect
+  // migration bursts and fallback spills.
   const std::uint64_t n = options_.observability.epoch_instructions;
   const Cycle quantum =
       n > 0 ? std::max<Cycle>(1000, static_cast<Cycle>(n / 4)) : 10'000;
-  const TimePs period = quantum * kCpuCyclePs;
-  events_.schedule(period, Tick{this, period});
+  every(quantum * kCpuCyclePs, [this] {
+    epoch_tick();
+    return !sampling_stopped_;
+  });
+}
+
+void System::flush_tlbs() {
+  for (PerCore& pc : cores_) pc.core->flush_tlb();
 }
 
 void System::epoch_tick() {

@@ -172,8 +172,16 @@ class System {
   /// First-touches every page in allocation/program order (see .cc).
   void pretouch_pages();
 
+  /// Runs `tick` every `period`, starting one period from now, until a
+  /// call returns false. Each tick is one inline EventCallback.
+  template <class Tick>
+  void every(TimePs period, Tick tick);
+  /// Invalidates every core's TLB: the one shootdown after a page-mover
+  /// pass that moved pages.
+  void flush_tlbs();
+
   /// Wires every component's probes into stat_registry_ and schedules the
-  /// self-rescheduling epoch tick. Only called when observability is on.
+  /// periodic epoch tick. Only called when observability is on.
   void register_observability();
   /// Periodic observability check: emits at most one time-series row per
   /// tick once the aggregate instruction count crosses the next epoch

@@ -73,9 +73,7 @@ ReplayResult replay_trace(const std::string& trace_path,
   std::vector<std::unique_ptr<dram::MemoryModule>> modules;
   os::PhysicalMemory phys;
   for (const sim::ModuleSpec& spec : memsys.modules) {
-    modules.push_back(std::make_unique<dram::MemoryModule>(
-        dram::make_device(spec.kind), spec.capacity_bytes,
-        spec.attached_channels, events, spec.name));
+    modules.push_back(sim::make_module(spec, events));
     modules.back()->set_fault_injector(options.injector);
     phys.add_module(modules.back().get());
   }
@@ -89,11 +87,9 @@ ReplayResult replay_trace(const std::string& trace_path,
 
   cache::MemHierarchy hierarchy(
       cache::default_l1d(), cache::default_l2(), events,
-      [&phys, &modules](std::uint64_t paddr, bool is_write,
-                        std::function<void(TimePs)> on_complete) {
-        const os::PhysicalMemory::Location loc = phys.locate(paddr);
-        modules[loc.module_index]->access(loc.local_addr, is_write,
-                                          std::move(on_complete));
+      [&phys](std::uint64_t paddr, bool is_write,
+              std::function<void(TimePs)> on_complete) {
+        phys.access(paddr, is_write, std::move(on_complete));
       });
   cpu::Core core(0, options.core_params, stream, hierarchy, os, pid,
                  events);

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -86,11 +87,12 @@ TEST(ParseAdaptiveSpec, OnOffAndDefaults) {
 }
 
 TEST(ParseAdaptiveSpec, KeyValueOverrides) {
+  // 8 pages per 12,500 cycles is exactly the 32-per-50,000 copy rate.
   const auto config = parse_adaptive_spec(
-      "epoch=1000,window=2,residency=1,margin=0.1,max-moves=2,"
+      "epoch=12500,window=2,residency=1,margin=0.1,max-moves=2,"
       "max-pages=8,min-misses=4,thr-lat=2,thr-bw=10");
   ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->epoch_cycles, 1000);
+  EXPECT_EQ(config->epoch_cycles, 12500);
   EXPECT_EQ(config->window_epochs, 2u);
   EXPECT_EQ(config->min_residency_epochs, 1u);
   EXPECT_DOUBLE_EQ(config->reclass_margin, 0.1);
@@ -108,6 +110,28 @@ TEST(ParseAdaptiveSpec, RejectsMalformedSpecs) {
         "max-pages=0", "thr-lat=0", "thr-bw=0", "=3", "epoch=5,,window=2"}) {
     EXPECT_THROW((void)parse_adaptive_spec(bad), CheckError)
         << "accepted spec '" << bad << "'";
+  }
+}
+
+TEST(ParseAdaptiveSpec, RejectsPageBudgetsOverTheCopyRate) {
+  // The stability rule is a rate, 32 page copies per 50,000 cycles: a
+  // shorter epoch must shrink max-pages with it.
+  for (const char* over :
+       {"epoch=20000", "epoch=12499,max-pages=8", "epoch=20000,max-pages=13",
+        "epoch=1000,max-pages=1", "max-pages=33"}) {
+    try {
+      (void)parse_adaptive_spec(over);
+      ADD_FAILURE() << "accepted over-rate spec '" << over << "'";
+    } catch (const CheckError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("max-pages="), std::string::npos) << message;
+      EXPECT_NE(message.find("epoch="), std::string::npos) << message;
+    }
+  }
+  for (const char* ok :
+       {"epoch=5000,max-pages=3", "epoch=20000,max-pages=12",
+        "epoch=100000,max-pages=64", "epoch=50000"}) {
+    EXPECT_NO_THROW((void)parse_adaptive_spec(ok)) << ok;
   }
 }
 
@@ -177,9 +201,10 @@ struct EngineFixture {
     }
   }
 
-  void close_epoch(AdaptiveEngine& engine) {
+  /// Returns run_epoch's verdict: true when a page moved.
+  bool close_epoch(AdaptiveEngine& engine) {
     total_instructions += instructions_per_epoch;
-    engine.run_epoch();
+    return engine.run_epoch();
   }
 
   /// DRAM kind currently backing the object's first page.
@@ -311,16 +336,19 @@ TEST(AdaptiveEngine, PlacementIsIncrementalUnderPageBudget) {
   config.max_pages_per_epoch = 2;
   AdaptiveEngine engine = f.make_engine(config);
 
-  // One decision, three epochs of placement work: 2 + 2 + 1 pages.
+  // One decision, three epochs of placement work: 2 + 2 + 1 pages, then
+  // an epoch that moves nothing.
   f.feed(engine, obj, 200, 25);
-  f.close_epoch(engine);
+  EXPECT_TRUE(f.close_epoch(engine));
   EXPECT_EQ(engine.stats().reclassifications, 1u);
   EXPECT_EQ(engine.stats().moved_pages, 2u);
-  for (const std::uint64_t expected : {4u, 5u, 5u}) {
+  for (const auto& [expected, moved] :
+       {std::pair{4u, true}, std::pair{5u, true}, std::pair{5u, false}}) {
     f.feed(engine, obj, 200, 25);  // phase persists; decision is stable
-    f.close_epoch(engine);
+    EXPECT_EQ(f.close_epoch(engine), moved);
     EXPECT_EQ(engine.stats().moved_pages, expected);
   }
+  EXPECT_EQ(engine.stats().copied_lines, 5 * kPageBytes / kLineBytes);
   EXPECT_EQ(engine.stats().reclassifications, 1u);
   // Every page ended up on the L chain's first kind.
   for (std::uint64_t p = 0; p < 5; ++p) {
@@ -370,7 +398,8 @@ TEST(AdaptiveReport, BlockAppearsOnlyWhenEngineRan) {
 TEST(AdaptiveDeterminism, WorkerCountInvariantWithEngineOn) {
   sim::Experiment e;
   e.instructions = 60'000;
-  e.adaptive = parse_adaptive_spec("epoch=20000,window=2,residency=2");
+  e.adaptive =
+      parse_adaptive_spec("epoch=20000,window=2,residency=2,max-pages=12");
 
   std::vector<sim::SweepJob> jobs;
   for (const char* app : {"gcc", "disparity"}) {

@@ -1,5 +1,6 @@
-// Tests for the dynamic page-migration baseline: OS remap mechanics, heat
-// tracking, promotion/demotion, hooks, and the full-system integration.
+// Tests for the dynamic page-migration baseline: OS remap mechanics and
+// copy traffic, heat tracking, promotion/demotion, and the full-system
+// integration.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -56,6 +57,20 @@ TEST(OsRemap, MovesMappingAndFreesOldFrame) {
             f.os->stats().frames_per_module[original] + 1);
 }
 
+TEST(OsRemap, IssuesPageCopyTraffic) {
+  Fixture f;
+  const ProcessId pid = f.os->create_process();
+  (void)f.os->translate(pid, kHeapPowBase);  // lands in LPDDR2 (module 2)
+  ASSERT_TRUE(f.os->try_remap(pid, kHeapPowBase >> kPageShift, 0));
+  f.events.run_until(1'000'000'000);
+  // Every line of the page: read from the old frame, written to the new.
+  constexpr std::uint64_t kLines = kPageBytes / kLineBytes;
+  EXPECT_EQ(f.phys.module(2).stats().reads, kLines);
+  EXPECT_EQ(f.phys.module(2).stats().writes, 0u);
+  EXPECT_EQ(f.phys.module(0).stats().writes, kLines);
+  EXPECT_EQ(f.phys.module(0).stats().reads, 0u);
+}
+
 TEST(OsRemap, FailsWhenTargetFull) {
   Fixture f(/*rl_pages=*/1);
   const ProcessId pid = f.os->create_process();
@@ -81,24 +96,25 @@ TEST(Migrator, PromotesHotPagesToRldram) {
   MigrationConfig config;
   config.hot_threshold = 4;
   PageMigrator migrator(*f.os, config);
-  int copies = 0;
-  migrator.set_copy_hook([&](PhysAddr, PhysAddr) { ++copies; });
-  int shootdowns = 0;
-  migrator.set_shootdown_hook([&] { ++shootdowns; });
 
   for (int i = 0; i < 10; ++i) migrator.record_miss(pid, kHeapPowBase);
   migrator.record_miss(pid, kHeapPowBase + kPageBytes);  // cold: 1 miss
-  migrator.run_epoch();
+  EXPECT_TRUE(migrator.run_epoch());  // a page moved: TLBs need a flush
 
   EXPECT_EQ(migrator.stats().promotions, 1u);
-  EXPECT_EQ(copies, 1);
-  EXPECT_EQ(shootdowns, 1);
+  EXPECT_EQ(migrator.stats().copied_lines, kPageBytes / kLineBytes);
   const auto hot = f.os->translate(pid, kHeapPowBase);
   EXPECT_EQ(f.phys.module(f.phys.locate(hot.paddr).module_index).kind(),
             dram::MemKind::kRldram3);
   const auto cold = f.os->translate(pid, kHeapPowBase + kPageBytes);
   EXPECT_NE(f.phys.module(f.phys.locate(cold.paddr).module_index).kind(),
             dram::MemKind::kRldram3);
+
+  // Next epoch only the cold page misses, below the threshold: nothing
+  // moves, so no copy and no shootdown are owed.
+  migrator.record_miss(pid, kHeapPowBase + kPageBytes);
+  EXPECT_FALSE(migrator.run_epoch());
+  EXPECT_EQ(migrator.stats().copied_lines, kPageBytes / kLineBytes);
 }
 
 TEST(Migrator, AlreadyFastPagesAreLeftAlone) {
@@ -109,10 +125,10 @@ TEST(Migrator, AlreadyFastPagesAreLeftAlone) {
   config.hot_threshold = 1;
   PageMigrator migrator(*f.os, config);
   for (int i = 0; i < 5; ++i) migrator.record_miss(pid, kHeapPowBase);
-  migrator.run_epoch();
+  EXPECT_TRUE(migrator.run_epoch());
   const std::uint64_t first = migrator.stats().promotions;
   for (int i = 0; i < 5; ++i) migrator.record_miss(pid, kHeapPowBase);
-  migrator.run_epoch();
+  EXPECT_FALSE(migrator.run_epoch());
   EXPECT_EQ(migrator.stats().promotions, first);  // no re-promotion
 }
 
@@ -135,14 +151,14 @@ TEST(Migrator, DemotesOldestWhenFastMemoryFull) {
       migrator.record_miss(pid, kHeapPowBase + p * kPageBytes);
     }
   }
-  migrator.run_epoch();
+  EXPECT_TRUE(migrator.run_epoch());
   EXPECT_EQ(migrator.stats().promotions, 2u);
   for (int p = 2; p < 4; ++p) {
     for (int i = 0; i < 8; ++i) {
       migrator.record_miss(pid, kHeapPowBase + p * kPageBytes);
     }
   }
-  migrator.run_epoch();
+  EXPECT_TRUE(migrator.run_epoch());
   EXPECT_EQ(migrator.stats().promotions, 4u);
   EXPECT_EQ(migrator.stats().demotions, 2u);
   // Pages 2,3 now occupy RLDRAM; 0,1 were demoted to a slow module.
@@ -168,7 +184,7 @@ TEST(Migrator, HeatResetsEachEpoch) {
   // 4 misses per epoch, threshold 6: never promotes.
   for (int epoch = 0; epoch < 5; ++epoch) {
     for (int i = 0; i < 4; ++i) migrator.record_miss(pid, kHeapPowBase);
-    migrator.run_epoch();
+    EXPECT_FALSE(migrator.run_epoch());
   }
   EXPECT_EQ(migrator.stats().promotions, 0u);
   EXPECT_EQ(migrator.stats().epochs, 5u);

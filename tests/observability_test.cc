@@ -153,6 +153,23 @@ TEST(ChromeTraceJson, EmitsWellFormedEvents) {
   EXPECT_NE(json.find("\"ts\":2"), std::string::npos);
 }
 
+TEST(ChromeTraceJson, TimestampsAreExactMicroseconds) {
+  // 8 ps apart past 1 s of trace time: 6 significant digits would print
+  // both as 1234.57.
+  ChromeTrace trace;
+  trace.instant("a", "t", 1'234'567'891);
+  trace.instant("b", "t", 1'234'567'899);
+  trace.complete("c", "t", 5, 10'000'000'000'001);
+  EXPECT_EQ(chrome_trace_json(trace.events()),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":["
+            "{\"name\":\"a\",\"cat\":\"t\",\"ph\":\"i\",\"ts\":1234.567891,"
+            "\"s\":\"p\",\"pid\":0,\"tid\":0},"
+            "{\"name\":\"b\",\"cat\":\"t\",\"ph\":\"i\",\"ts\":1234.567899,"
+            "\"s\":\"p\",\"pid\":0,\"tid\":0},"
+            "{\"name\":\"c\",\"cat\":\"t\",\"ph\":\"X\",\"ts\":0.000005,"
+            "\"dur\":10000000.000001,\"pid\":0,\"tid\":0}]}");
+}
+
 sim::Experiment sampled_experiment(std::uint64_t instructions,
                                    std::uint64_t epoch, bool trace) {
   sim::Experiment e;

@@ -14,7 +14,10 @@
 
 #include "common/check.h"
 #include "common/work_queue.h"
+#include "moca/adaptive.h"
+#include "os/migration.h"
 #include "sim/report.h"
+#include "sim/runner.h"
 #include "sim/sweep.h"
 
 namespace moca {
@@ -56,6 +59,27 @@ std::vector<std::string> report_jsons(
   return jsons;
 }
 
+/// Compares `json` with tests/golden/`name`, or rewrites that file when
+/// MOCA_UPDATE_GOLDEN is set.
+void check_golden(const std::string& name, const std::string& json) {
+  const std::filesystem::path dir =
+      std::filesystem::path(MOCA_TEST_SOURCE_DIR) / "golden";
+  const std::filesystem::path file = dir / name;
+  if (std::getenv("MOCA_UPDATE_GOLDEN") != nullptr) {
+    std::filesystem::create_directories(dir);
+    std::ofstream out(file);
+    out << json << "\n";
+    return;
+  }
+  std::ifstream in(file);
+  ASSERT_TRUE(in.good()) << "missing golden file " << file
+                         << " (generate with MOCA_UPDATE_GOLDEN=1)";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(json + "\n", want.str())
+      << "simulated metrics diverged from the golden report " << file;
+}
+
 /// Scheduler-swap regression gate: the simulated report JSON for a small
 /// two-app sweep is pinned to golden files generated with the pre-PR-2
 /// binary-heap scheduler. Any change to event execution order — scheduler
@@ -63,36 +87,38 @@ std::vector<std::string> report_jsons(
 /// as a byte-level diff. Regenerate (only for intentional metric changes)
 /// with: MOCA_UPDATE_GOLDEN=1 ctest -R GoldenReports
 TEST(SweepRunner, GoldenReportsAreByteIdentical) {
-  const std::filesystem::path dir =
-      std::filesystem::path(MOCA_TEST_SOURCE_DIR) / "golden";
   const sim::Experiment e = small_experiment();
   const std::vector<sim::SweepJob> jobs = sample_jobs(e);
   sim::SweepRunner runner(1);
   const auto db = sim::build_profile_db({"gcc", "disparity"}, e, runner);
   const std::vector<sim::SweepOutcome> outcomes = runner.run(jobs, db);
   ASSERT_EQ(outcomes.size(), jobs.size());
-
-  const bool update = std::getenv("MOCA_UPDATE_GOLDEN") != nullptr;
-  if (update) std::filesystem::create_directories(dir);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-    const std::string json = sim::to_json(outcomes[i].result);
-    const std::filesystem::path file =
-        dir / ("report_" + jobs[i].label + "_" +
-               std::string(sim::to_string(jobs[i].choice)) + ".json");
-    if (update) {
-      std::ofstream out(file);
-      out << json << "\n";
-      continue;
-    }
-    std::ifstream in(file);
-    ASSERT_TRUE(in.good()) << "missing golden file " << file
-                           << " (generate with MOCA_UPDATE_GOLDEN=1)";
-    std::stringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(json + "\n", want.str())
-        << "simulated metrics diverged from the golden report " << file;
+    check_golden("report_" + jobs[i].label + "_" +
+                     std::string(sim::to_string(jobs[i].choice)) + ".json",
+                 sim::to_json(outcomes[i].result));
   }
+}
+
+/// The same gate over runs that move pages: the migration daemon on mcf
+/// and the adaptive engine on gcc under MOCA. These pin the page-copy DRAM
+/// traffic, the TLB shootdowns and the periodic epoch events, which the
+/// default-Experiment goldens above never exercise. Regenerate like them.
+TEST(SweepRunner, PageMoveGoldenReportsAreByteIdentical) {
+  const sim::Experiment e = small_experiment();
+  const sim::RunResult migration =
+      sim::run_workload_with_migration({"mcf"}, e, os::MigrationConfig{});
+  EXPECT_GT(migration.migration.promotions, 0u);
+  check_golden("report_mcf_migration.json", sim::to_json(migration));
+
+  sim::Experiment adaptive = e;
+  adaptive.adaptive = core::parse_adaptive_spec("epoch=5000,max-pages=3");
+  const auto db = sim::build_profile_db({"gcc"}, adaptive);
+  const sim::RunResult moved =
+      sim::run_workload({"gcc"}, sim::SystemChoice::kMoca, db, adaptive);
+  EXPECT_GT(moved.adaptive.moved_pages, 0u);
+  check_golden("report_gcc_MOCA-adaptive.json", sim::to_json(moved));
 }
 
 TEST(SweepRunner, ThreadCountInvariance) {

@@ -213,6 +213,25 @@ TEST(Replay, DeterministicAcrossRuns) {
   EXPECT_EQ(a.total_mem_access_time, b.total_mem_access_time);
 }
 
+TEST(Replay, HonorsInterleaveGranule) {
+  TempFile file("moca_trace_replay_granule.trc");
+  RecordOptions options;
+  options.ops = 60'000;
+  (void)record_app_trace(workload::app_by_name("lbm"), file.path, options);
+  const auto replay = [&](const sim::MemSystemConfig& memsys) {
+    return replay_trace(
+        file.path, memsys,
+        std::make_unique<core::HomogeneousPolicy>(dram::MemKind::kDdr3));
+  };
+  const sim::MemSystemConfig row = sim::homogeneous(dram::MemKind::kDdr3);
+  sim::MemSystemConfig line = row;
+  line.modules[0].interleave_granule_bytes = kLineBytes;
+  // Line interleaving spreads lbm's streams over the channels instead of
+  // keeping each row's lines on one: the machine really changed.
+  EXPECT_NE(replay(row).total_mem_access_time,
+            replay(line).total_mem_access_time);
+}
+
 TEST(Replay, ArmedTraceClausesApply) {
   TempFile file("moca_trace_replay_faults.trc");
   RecordOptions options;
