@@ -36,7 +36,7 @@ void BM_ProfilerOnHeadStall(benchmark::State& state) {
       registry.add(1, 0, 0x1000, 4096, os::MemClass::kLatency, "x");
   core::Profiler profiler(registry);
   for (auto _ : state) {
-    profiler.on_head_stall(0, id);
+    profiler.on_head_stall(0, id, 1);
   }
 }
 BENCHMARK(BM_ProfilerOnHeadStall);

@@ -1,9 +1,10 @@
 // Discrete-event scheduler used for memory-side timing.
 //
-// CPU cores are stepped cycle-by-cycle by sim::System; everything slower or
-// asynchronous (DRAM command completion, controller wake-ups, refresh) is
-// scheduled here at picosecond resolution. Events at equal timestamps run in
-// insertion order, which keeps simulations deterministic.
+// CPU cores are stepped cycle-by-cycle by sim::System, which jumps over
+// cycles in which every core is idle up to the next event here; everything
+// slower or asynchronous (DRAM command completion, controller wake-ups,
+// refresh) is scheduled here at picosecond resolution. Events at equal
+// timestamps run in insertion order, which keeps simulations deterministic.
 //
 // Implementation: a two-level hierarchical timing wheel plus a far-future
 // overflow heap (PR 2). Level 0 buckets 256 ps of simulated time per slot

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace moca {
 
@@ -20,6 +21,11 @@ inline constexpr TimePs kPsPerNs = 1000;
 
 /// Core clock period: 1 GHz per paper Table I.
 inline constexpr TimePs kCpuCyclePs = 1000;
+
+/// Longest span in cycles whose picosecond length fits in TimePs: parsers
+/// reject periods beyond it instead of letting cycle_to_ps overflow.
+inline constexpr Cycle kMaxCyclesInPs =
+    std::numeric_limits<TimePs>::max() / kCpuCyclePs;
 
 /// Converts a CPU cycle index to the picosecond timestamp of its start.
 [[nodiscard]] constexpr TimePs cycle_to_ps(Cycle c) { return c * kCpuCyclePs; }

@@ -1,6 +1,7 @@
 #include "cpu/core.h"
 
 #include <bit>
+#include <limits>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -30,12 +31,65 @@ Core::Core(std::uint32_t core_id, const CoreParams& params, OpStream& stream,
 
 void Core::step() {
   if (done()) return;
-  run_wheel();
+  // Progress marks for idle(): every stage that moves an instruction or
+  // the fetch buffer changes one of them. Issue pops deferred loads and
+  // pushes them back, so an issue stage that issued nothing leaves the
+  // ready head where it found it.
+  const std::uint64_t committed = committed_;
+  const std::uint64_t dispatched = dispatched_;
+  const std::uint64_t ready_head = ready_head_;
+  const bool fetched = fetched_valid_;
+  const Cycle stalls = stats_.rob_head_stall_cycles;
+  const std::uint64_t rejects = stats_.mshr_reject_cycles;
+  const bool woke = run_wheel();
   do_commit();
   do_issue();
   do_dispatch();
   ++stats_.cycles;
+  idle_ = !params_.in_order && !woke && committed_ == committed &&
+          dispatched_ == dispatched && ready_head_ == ready_head &&
+          fetched_valid_ == fetched;
+  last_stalled_ = stats_.rob_head_stall_cycles != stalls;
+  last_rejected_ = stats_.mshr_reject_cycles != rejects;
   if (done()) finish_cycle_ = stats_.cycles;
+}
+
+Cycle Core::next_wheel_cycle() const {
+  static_assert(kWheelSize == 128, "the scan below covers two words");
+  // Ring order from the current slot: the rest of its word, the other
+  // word, then the current word's bits below the slot. Every item is due
+  // less than kWheelSize cycles ahead, so the distance is unambiguous.
+  const std::size_t idx = static_cast<std::size_t>(stats_.cycles % kWheelSize);
+  const int bit = static_cast<int>(idx & 63);
+  const std::uint64_t here = wheel_occ_[idx >> 6];
+  const std::uint64_t other = wheel_occ_[(idx >> 6) ^ 1];
+  Cycle distance = 0;
+  if ((here >> bit) != 0) {
+    distance = std::countr_zero(here >> bit);
+  } else if (other != 0) {
+    distance = 64 - bit + std::countr_zero(other);
+  } else if (here != 0) {
+    distance = 128 - bit + std::countr_zero(here);
+  } else {
+    return std::numeric_limits<Cycle>::max();
+  }
+  return stats_.cycles + distance;
+}
+
+void Core::skip(Cycle n) {
+  MOCA_CHECK(idle_ && n > 0);
+  stats_.cycles += n;
+  if (last_rejected_) {
+    stats_.mshr_reject_cycles += static_cast<std::uint64_t>(n);
+  }
+  if (last_stalled_) {
+    stats_.rob_head_stall_cycles += n;
+    if (stall_observer_ != nullptr) {
+      stall_observer_(stall_observer_ctx_, stall_observer_arg_,
+                      slot(committed_).op.object,
+                      static_cast<std::uint64_t>(n));
+    }
+  }
 }
 
 void Core::schedule_wheel(Cycle at, WheelItem item) {
@@ -46,11 +100,11 @@ void Core::schedule_wheel(Cycle at, WheelItem item) {
   wheel_occ_[idx >> 6] |= 1ULL << (idx & 63);
 }
 
-void Core::run_wheel() {
+bool Core::run_wheel() {
   // Most cycles have nothing due; the occupancy bitmap makes that case a
   // single cached word test instead of a vector-header load.
   const std::size_t idx = static_cast<std::size_t>(stats_.cycles % kWheelSize);
-  if ((wheel_occ_[idx >> 6] & (1ULL << (idx & 63))) == 0) return;
+  if ((wheel_occ_[idx >> 6] & (1ULL << (idx & 63))) == 0) return false;
   wheel_occ_[idx >> 6] &= ~(1ULL << (idx & 63));
   auto& bucket = wheel_[idx];
   for (const WheelItem& item : bucket) {
@@ -63,6 +117,7 @@ void Core::run_wheel() {
     }
   }
   bucket.clear();
+  return true;
 }
 
 void Core::complete(std::uint64_t seq) {
@@ -118,7 +173,7 @@ void Core::do_commit() {
         ++stats_.rob_head_stall_cycles;
         if (stall_observer_ != nullptr) {
           stall_observer_(stall_observer_ctx_, stall_observer_arg_,
-                          head.op.object);
+                          head.op.object, 1);
         }
       }
       return;
@@ -350,6 +405,26 @@ void Core::register_stats(StatRegistry& registry,
   registry.counter(prefix + "/tlb_misses", &stats_.tlb_misses);
   registry.counter(prefix + "/mshr_reject_cycles",
                    &stats_.mshr_reject_cycles);
+}
+
+Cycle skip_idle_cycles(std::span<Core* const> cores,
+                       const EventQueue& events, Cycle next, Cycle limit) {
+  if (cores.empty()) return next;
+  Cycle target = limit;
+  for (const Core* core : cores) {
+    if (!core->idle()) return next;
+    // A core's wheel runs on its own step count, which lags the caller's
+    // clock by however long the core sat out (finished early in warm-up).
+    const Cycle wait = core->next_wheel_cycle() - core->current_cycle();
+    if (wait < target - next) target = next + wait;
+  }
+  // An event at time t first runs in the cycle whose run_until covers it.
+  if (!events.empty() && events.next_time() < cycle_to_ps(target)) {
+    target = ps_to_cycle_ceil(events.next_time());
+  }
+  if (target <= next) return next;
+  for (Core* core : cores) core->skip(target - next);
+  return target;
 }
 
 }  // namespace moca::cpu

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -78,13 +79,15 @@ struct CoreStats {
 /// One simulated core bound to a process and a private cache hierarchy.
 class Core {
  public:
-  /// Fired once per cycle the ROB head stalls on an LLC-missing load, with
-  /// that load's object tag (profiler hook). Flat (function pointer,
-  /// context, payload) form: this fires millions of times per run, and the
-  /// observers are all `method(fixed_arg, object)` calls, so the extra
-  /// dispatch hop and construction cost of std::function buys nothing.
+  /// Reports `cycles` cycles in which the ROB head stalled on an
+  /// LLC-missing load, with that load's object tag (profiler hook): 1 from
+  /// a step, the whole jump from skip(). Flat (function pointer, context,
+  /// payload) form: this fires millions of times per run, and the
+  /// observers are all `method(fixed_arg, object, cycles)` calls, so the
+  /// extra dispatch hop and construction cost of std::function buys
+  /// nothing.
   using StallObserver = void (*)(void* ctx, std::uint64_t arg,
-                                 std::uint64_t object);
+                                 std::uint64_t object, std::uint64_t cycles);
 
   Core(std::uint32_t core_id, const CoreParams& params, OpStream& stream,
        cache::MemHierarchy& hierarchy, os::Os& os, os::ProcessId pid,
@@ -100,6 +103,20 @@ class Core {
   /// Advances one cycle. The caller must have drained the event queue up to
   /// this cycle's timestamp first.
   void step();
+
+  /// True when the last step() changed nothing but `cycles`,
+  /// `rob_head_stall_cycles` and `mshr_reject_cycles`: no wheel slot ran,
+  /// nothing committed, issued, dispatched or fetched. Until an event or a
+  /// wheel slot changes the core, every further step repeats that one.
+  /// In-order cores are never idle: their page-walk wait is not on the
+  /// wheel, so next_wheel_cycle() cannot see when it ends.
+  [[nodiscard]] bool idle() const { return idle_; }
+  /// Cycle (in current_cycle() terms) at which the completion wheel next
+  /// has a slot due; max() when it is empty.
+  [[nodiscard]] Cycle next_wheel_cycle() const;
+  /// Repeats the counter effects of the last, idle step `n` times; the
+  /// stall observer receives them as one call with count `n`.
+  void skip(Cycle n);
 
   void set_stall_observer(StallObserver observer, void* ctx,
                           std::uint64_t arg) {
@@ -163,7 +180,8 @@ class Core {
   [[nodiscard]] Entry& slot(std::uint64_t seq) {
     return rob_[seq & rob_mask_];
   }
-  void run_wheel();
+  /// Runs the wheel slot due this cycle; false when none was due.
+  bool run_wheel();
   void do_commit();
   void do_issue();
   void do_issue_in_order();
@@ -227,10 +245,25 @@ class Core {
   bool fetched_valid_ = false;
   std::uint64_t budget_ = 0;
   Cycle finish_cycle_ = 0;
+  // The last step: idle or not, and whether it counted a head stall and an
+  // MSHR reject (the counter effects skip() repeats).
+  bool idle_ = false;
+  bool last_stalled_ = false;
+  bool last_rejected_ = false;
   StallObserver stall_observer_ = nullptr;
   void* stall_observer_ctx_ = nullptr;
   std::uint64_t stall_observer_arg_ = 0;
   CoreStats stats_;
 };
+
+/// Idle-cycle skip-ahead, shared by every loop that steps cores. Call it
+/// after stepping each of `cores` (the ones still running) in one cycle,
+/// with `next` the cycle about to run. Unless every step was idle it
+/// returns `next`. Otherwise nothing can change before the earliest of the
+/// next pending event, the cores' next wheel slots and `limit`: it charges
+/// each core the cycles up to that point with skip() and returns it.
+[[nodiscard]] Cycle skip_idle_cycles(std::span<Core* const> cores,
+                                     const EventQueue& events, Cycle next,
+                                     Cycle limit);
 
 }  // namespace moca::cpu

@@ -1,6 +1,8 @@
 #include "moca/adaptive.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -39,11 +41,25 @@ std::uint64_t spec_u64(const std::string& text, const std::string& key) {
                  "adaptive spec " << key << " needs a non-negative number, "
                                   << "got '" << text << "'");
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
   MOCA_CHECK_MSG(end != text.c_str() && *end == '\0',
                  "adaptive spec " << key << " needs a number, got '" << text
                                   << "'");
+  MOCA_CHECK_MSG(errno != ERANGE, "adaptive spec " << key
+                                      << " is out of range, got '" << text
+                                      << "'");
   return value;
+}
+
+/// The 32-bit keys: a larger value is rejected, not truncated.
+std::uint32_t spec_u32(const std::string& text, const std::string& key) {
+  const std::uint64_t value = spec_u64(text, key);
+  MOCA_CHECK_MSG(value <= std::numeric_limits<std::uint32_t>::max(),
+                 "adaptive spec " << key << " must be at most "
+                                  << std::numeric_limits<std::uint32_t>::max()
+                                  << ", got '" << text << "'");
+  return static_cast<std::uint32_t>(value);
 }
 
 double spec_double(const std::string& text, const std::string& key) {
@@ -117,9 +133,10 @@ void AdaptiveEngine::record_miss(os::ProcessId /*pid*/,
 }
 
 void AdaptiveEngine::record_stall(os::ProcessId /*pid*/,
-                                  std::uint64_t object_id) {
+                                  std::uint64_t object_id,
+                                  std::uint64_t cycles) {
   if (object_id == kNoObject) return;
-  ++ensure(object_id).pending.stall_cycles;
+  ensure(object_id).pending.stall_cycles += cycles;
 }
 
 void AdaptiveEngine::place_pages(ObjectState& state,
@@ -343,27 +360,31 @@ std::optional<AdaptiveConfig> parse_adaptive_spec(const std::string& spec) {
     if (key == "epoch") {
       const std::uint64_t v = spec_u64(value, key);
       MOCA_CHECK_MSG(v > 0, "adaptive epoch must be positive");
+      MOCA_CHECK_MSG(v <= static_cast<std::uint64_t>(kMaxCyclesInPs),
+                     "adaptive spec epoch must be at most "
+                         << kMaxCyclesInPs
+                         << " cycles (its length in ps overflows), got '"
+                         << value << "'");
       config.epoch_cycles = static_cast<Cycle>(v);
     } else if (key == "window") {
-      const std::uint64_t v = spec_u64(value, key);
+      const std::uint32_t v = spec_u32(value, key);
       MOCA_CHECK_MSG(v > 0, "adaptive window must be positive");
-      config.window_epochs = static_cast<std::uint32_t>(v);
+      config.window_epochs = v;
     } else if (key == "residency") {
-      config.min_residency_epochs =
-          static_cast<std::uint32_t>(spec_u64(value, key));
+      config.min_residency_epochs = spec_u32(value, key);
     } else if (key == "margin") {
       const double v = spec_double(value, key);
       MOCA_CHECK_MSG(v >= 0.0 && v < 1.0,
                      "adaptive margin must be in [0, 1), got " << value);
       config.reclass_margin = v;
     } else if (key == "max-moves") {
-      const std::uint64_t v = spec_u64(value, key);
+      const std::uint32_t v = spec_u32(value, key);
       MOCA_CHECK_MSG(v > 0, "adaptive max-moves must be positive");
-      config.max_object_moves_per_epoch = static_cast<std::uint32_t>(v);
+      config.max_object_moves_per_epoch = v;
     } else if (key == "max-pages") {
-      const std::uint64_t v = spec_u64(value, key);
+      const std::uint32_t v = spec_u32(value, key);
       MOCA_CHECK_MSG(v > 0, "adaptive max-pages must be positive");
-      config.max_pages_per_epoch = static_cast<std::uint32_t>(v);
+      config.max_pages_per_epoch = v;
     } else if (key == "min-misses") {
       config.min_window_misses = spec_u64(value, key);
     } else if (key == "thr-lat") {

@@ -121,8 +121,9 @@ class AdaptiveEngine {
   /// Called per demand LLC miss with the already-attributed object id
   /// (cache::AccessContext::object). kNoObject / non-heap ids are ignored.
   void record_miss(os::ProcessId pid, std::uint64_t object_id, bool is_load);
-  /// Called per ROB-head stall cycle (cpu::Core stall observer).
-  void record_stall(os::ProcessId pid, std::uint64_t object_id);
+  /// Called with `cycles` ROB-head stall cycles (cpu::Core stall observer).
+  void record_stall(os::ProcessId pid, std::uint64_t object_id,
+                    std::uint64_t cycles);
 
   /// Closes the epoch: folds the accumulators into every tracked object's
   /// window, re-runs the threshold function, and moves reclassified

@@ -39,10 +39,11 @@ void Profiler::on_llc_miss(const cache::AccessContext& ctx) {
   }
 }
 
-void Profiler::on_head_stall(os::ProcessId pid, std::uint64_t object_id) {
-  ++process_slot(pid).stall_cycles;
+void Profiler::on_head_stall(os::ProcessId pid, std::uint64_t object_id,
+                             std::uint64_t cycles) {
+  process_slot(pid).stall_cycles += cycles;
   if (object_id != cache::kNoObject) {
-    ++object_slot(object_id).stall_cycles;
+    object_slot(object_id).stall_cycles += cycles;
   }
 }
 

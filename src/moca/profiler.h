@@ -2,10 +2,11 @@
 //
 // The simulator stands in for the paper's hardware performance counters:
 // the cache hierarchy reports every demand LLC miss with its attribution
-// context, and each core reports every cycle its ROB head is blocked on an
-// LLC-missing load. The profiler accumulates both per runtime object id
-// (dense vectors — this is on the simulation fast path) and folds them into
-// per-name AppProfiles at the end of the run.
+// context, and each core reports the cycles its ROB head is blocked on an
+// LLC-missing load (one per step, or a whole idle-cycle jump at once). The
+// profiler accumulates both per runtime object id (dense vectors — this is
+// on the simulation fast path) and folds them into per-name AppProfiles at
+// the end of the run.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +26,9 @@ class Profiler {
   /// Hierarchy demand-miss hook.
   void on_llc_miss(const cache::AccessContext& ctx);
 
-  /// Core ROB-head stall hook (one call per stalled cycle).
-  void on_head_stall(os::ProcessId pid, std::uint64_t object_id);
+  /// Core ROB-head stall hook: `cycles` stalled cycles on `object_id`.
+  void on_head_stall(os::ProcessId pid, std::uint64_t object_id,
+                     std::uint64_t cycles);
 
   /// Builds the profile of process `pid` after a run.
   [[nodiscard]] AppProfile finalize(const std::string& app_name,

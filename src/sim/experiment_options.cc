@@ -1,5 +1,6 @@
 #include "sim/experiment_options.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -17,9 +18,12 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what) {
                  what << " needs a non-negative number, got '" << text
                       << "'");
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
   MOCA_CHECK_MSG(end != text.c_str() && *end == '\0',
                  what << " needs a number, got '" << text << "'");
+  MOCA_CHECK_MSG(errno != ERANGE,
+                 what << " is out of range, got '" << text << "'");
   return value;
 }
 
@@ -73,7 +77,13 @@ constexpr Knob kKnobs[] = {
      }},
     {"epoch", true, "MOCA_SIM_EPOCH",
      [](ExperimentOptions& o, const Value& v) {
-       o.experiment.observability.epoch_instructions = v.number();
+       // The sampler ticks every epoch/4 cycles, scheduled in picoseconds.
+       const std::uint64_t n = v.number();
+       MOCA_CHECK_MSG(n <= static_cast<std::uint64_t>(kMaxCyclesInPs),
+                      v.who << " must be at most " << kMaxCyclesInPs
+                            << " (its length in ps overflows), got '"
+                            << v.text << "'");
+       o.experiment.observability.epoch_instructions = n;
      }},
     {"trace-out", true, "MOCA_SIM_TRACE",
      [](ExperimentOptions& o, const Value& v) {

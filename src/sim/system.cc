@@ -141,15 +141,16 @@ System::System(const MemSystemConfig& memsys,
     pc.core->set_budget(options_.instructions_per_core);
     if (options_.enable_profiling || adaptive_ != nullptr) {
       pc.core->set_stall_observer(
-          [](void* sys, std::uint64_t pid, std::uint64_t object) {
+          [](void* sys, std::uint64_t pid, std::uint64_t object,
+             std::uint64_t cycles) {
             System* system = static_cast<System*>(sys);
             if (system->options_.enable_profiling) {
               system->profiler_.on_head_stall(
-                  static_cast<os::ProcessId>(pid), object);
+                  static_cast<os::ProcessId>(pid), object, cycles);
             }
             if (system->adaptive_ != nullptr) {
               system->adaptive_->record_stall(
-                  static_cast<os::ProcessId>(pid), object);
+                  static_cast<os::ProcessId>(pid), object, cycles);
             }
           },
           this, pc.pid);
@@ -324,49 +325,54 @@ RunResult System::run(const RunContext& context) {
           200 +
       1'000'000;
   Cycle cycle = 0;
+  Cycle next_poll = 0;
   std::vector<Cycle> absolute_finish(cores_.size(), 0);
 
   const auto run_phase = [&](auto budget_of) {
     for (std::size_t i = 0; i < cores_.size(); ++i) {
       cores_[i].core->set_budget(budget_of(i));
     }
-    // Track the still-running cores by index: a finished core drops out
-    // once instead of being re-polled every cycle (stepping a done core is
-    // a no-op, so skipping it is behavior-identical). The per-cycle
-    // run_until stays — with nothing due it is a single cached comparison
-    // in the scheduler.
-    std::vector<std::size_t> running;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      if (!cores_[i].core->done()) {
-        running.push_back(i);
-      } else if (absolute_finish[i] == 0) {
-        absolute_finish[i] = cycle;
+    // Track the still-running cores: a finished core drops out once
+    // instead of being re-polled every cycle (stepping a done core is a
+    // no-op, so skipping it is behavior-identical). Core ids index cores_.
+    std::vector<cpu::Core*> running;
+    for (PerCore& pc : cores_) {
+      if (!pc.core->done()) {
+        running.push_back(pc.core.get());
+      } else if (absolute_finish[pc.core->id()] == 0) {
+        absolute_finish[pc.core->id()] = cycle;
       }
     }
     while (!running.empty()) {
-      // Supervised deadline / interrupt. The mask keeps the poll off the
-      // per-cycle fast path; 4096 cycles is ~1.3 us simulated, far below
-      // any meaningful timeout granularity. The text is fixed (no cycle
-      // number): where a wall-clock deadline lands depends on host speed,
-      // and the text becomes the outcome's deterministic error.
-      if ((cycle & 4095) == 0 && context.stop_requested()) {
-        throw CancelledError(
-            "simulation cancelled (wall-clock deadline or interrupt)");
+      // Supervised deadline / interrupt, polled once per 4096-cycle block
+      // the clock enters (a skip-ahead can jump over a block's first
+      // cycle); 4096 cycles is ~4.1 us simulated, far below any meaningful
+      // timeout granularity. The text is fixed (no cycle number): where a
+      // wall-clock deadline lands depends on host speed, and the text
+      // becomes the outcome's deterministic error.
+      if (cycle >= next_poll) {
+        next_poll = (cycle | 4095) + 1;
+        if (context.stop_requested()) {
+          throw CancelledError(
+              "simulation cancelled (wall-clock deadline or interrupt)");
+        }
       }
       events_.run_until(cycle_to_ps(cycle));
       for (std::size_t r = 0; r < running.size();) {
-        const std::size_t i = running[r];
-        cores_[i].core->step();
-        if (cores_[i].core->done()) {
+        cpu::Core& core = *running[r];
+        core.step();
+        if (core.done()) {
           // The previous loop shape observed a finish at the top of the
           // next iteration — one cycle after the finishing step.
-          if (absolute_finish[i] == 0) absolute_finish[i] = cycle + 1;
+          if (absolute_finish[core.id()] == 0) {
+            absolute_finish[core.id()] = cycle + 1;
+          }
           running.erase(running.begin() + static_cast<std::ptrdiff_t>(r));
         } else {
           ++r;
         }
       }
-      ++cycle;
+      cycle = cpu::skip_idle_cycles(running, events_, cycle + 1, cycle_limit);
       MOCA_CHECK_MSG(cycle < cycle_limit,
                      "simulation exceeded cycle limit (deadlock?)");
     }

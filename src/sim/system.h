@@ -69,9 +69,9 @@ struct SystemOptions {
 };
 
 /// Host-side stop conditions for one run, kept apart from the
-/// configuration: System::run polls them every 4096 simulated cycles and
-/// throws CancelledError once either fires. Neither changes simulated
-/// results. The default context never stops.
+/// configuration: System::run polls them once per 4096-cycle block of
+/// simulated time and throws CancelledError once either fires. Neither
+/// changes simulated results. The default context never stops.
 struct RunContext {
   using Clock = std::chrono::steady_clock;
   /// Graceful-stop flag (SIGINT/SIGTERM); null = never interrupted.

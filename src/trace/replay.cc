@@ -99,10 +99,11 @@ ReplayResult replay_trace(const std::string& trace_path,
 
   Cycle cycle = 0;
   const Cycle limit = static_cast<Cycle>(budget) * 200 + 1'000'000;
+  cpu::Core* const cores[] = {&core};
   while (!core.done()) {
     events.run_until(cycle_to_ps(cycle));
     core.step();
-    ++cycle;
+    cycle = cpu::skip_idle_cycles(cores, events, cycle + 1, limit);
     MOCA_CHECK_MSG(cycle < limit, "replay exceeded cycle limit");
   }
   events.run_until(cycle_to_ps(cycle) + 50'000'000);  // drain in flight

@@ -135,6 +135,44 @@ TEST(ParseAdaptiveSpec, RejectsPageBudgetsOverTheCopyRate) {
   }
 }
 
+TEST(ParseAdaptiveSpec, RejectsNumbersThatDoNotFit) {
+  // Regression: the 32-bit keys were truncated (max-pages=4294967297 ran
+  // as 1, residency=4294967296 as 0, and a 0 budget died in the engine's
+  // constructor after the profiling stage), an epoch past INT64_MAX went
+  // negative, an epoch whose picosecond length overflows scheduled "into
+  // the past", and values past strtoull's range were taken as its max.
+  using Case = std::pair<const char*, const char*>;  // spec, key named
+  for (const auto& [spec, key] : std::vector<Case>{
+           {"max-pages=4294967297,epoch=60000", "max-pages"},
+           {"max-pages=4294967296", "max-pages"},
+           {"max-moves=4294967296", "max-moves"},
+           {"window=4294967296", "window"},
+           {"residency=4294967296", "residency"},
+           {"epoch=9223372036854775808", "epoch"},
+           {"epoch=10000000000000000", "epoch"},
+           {"epoch=9223372036854776", "epoch"},
+           {"epoch=18446744073709551616", "epoch"},
+           {"min-misses=18446744073709551616", "min-misses"}}) {
+    try {
+      (void)parse_adaptive_spec(spec);
+      ADD_FAILURE() << "accepted spec '" << spec << "'";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  // The largest values that fit still parse.
+  const auto config = parse_adaptive_spec(
+      "epoch=9223372036854775,residency=4294967295,window=4294967295,"
+      "max-moves=4294967295,min-misses=18446744073709551615");
+  ASSERT_TRUE(config.has_value());
+  EXPECT_EQ(config->epoch_cycles, kMaxCyclesInPs);
+  EXPECT_EQ(config->min_residency_epochs, 4294967295u);
+  EXPECT_EQ(config->window_epochs, 4294967295u);
+  EXPECT_EQ(config->max_object_moves_per_epoch, 4294967295u);
+  EXPECT_EQ(config->min_window_misses, 18446744073709551615u);
+}
+
 // ---------------------------------------------------------------------------
 // AdaptiveEngine, driven directly (no cores): the fixture owns a tiny
 // heterogeneous machine and feeds attributed heat by hand, so phases are
@@ -195,9 +233,7 @@ struct EngineFixture {
             std::uint64_t misses, std::uint64_t stall_per_miss) {
     for (std::uint64_t i = 0; i < misses; ++i) {
       engine.record_miss(pid, object, /*is_load=*/true);
-      for (std::uint64_t s = 0; s < stall_per_miss; ++s) {
-        engine.record_stall(pid, object);
-      }
+      engine.record_stall(pid, object, stall_per_miss);
     }
   }
 
@@ -368,7 +404,7 @@ TEST(AdaptiveEngine, IgnoresNonObjectTraffic) {
   AdaptiveEngine engine = f.make_engine(config);
   // kNoObject-attributed misses (stack/code) must not create state.
   engine.record_miss(f.pid, ~std::uint64_t{0}, true);
-  engine.record_stall(f.pid, ~std::uint64_t{0});
+  engine.record_stall(f.pid, ~std::uint64_t{0}, 1);
   f.close_epoch(engine);
   EXPECT_EQ(engine.tracked_objects(), 0u);
   EXPECT_EQ(engine.stats().reclassifications, 0u);

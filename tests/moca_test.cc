@@ -254,8 +254,8 @@ TEST(Profiler, AttributesMissesAndStallsPerObjectAndSegment) {
   profiler.on_llc_miss(miss);
   miss.segment = static_cast<std::uint8_t>(os::Segment::kCode);
   profiler.on_llc_miss(miss);
-  for (int i = 0; i < 600; ++i) profiler.on_head_stall(0, obj_a);
-  profiler.on_head_stall(0, cache::kNoObject);
+  profiler.on_head_stall(0, obj_a, 600);
+  profiler.on_head_stall(0, cache::kNoObject, 1);
 
   const AppProfile p = profiler.finalize("app", 0, 1'000'000);
   EXPECT_EQ(p.llc_misses, 16u);

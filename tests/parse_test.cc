@@ -326,6 +326,13 @@ TEST(ExperimentOptionsTest, EnvAndFlagRejectTheSameValues) {
   // An empty path or engine spec is no value either way.
   expect_rejected_both_ways("trace-out", "MOCA_SIM_TRACE", "");
   expect_rejected_both_ways("adaptive", "MOCA_SIM_ADAPTIVE", "");
+  // Numbers that do not fit: past strtoull's range, a sampling epoch whose
+  // picosecond length overflows, a page budget past 32 bits.
+  expect_rejected_both_ways("instr", "MOCA_SIM_INSTR", "18446744073709551616");
+  expect_rejected_both_ways("epoch", "MOCA_SIM_EPOCH", "9223372036854776");
+  expect_rejected_both_ways("epoch", "MOCA_SIM_EPOCH", "40000000000000000");
+  expect_rejected_both_ways("adaptive", "MOCA_SIM_ADAPTIVE",
+                            "max-pages=4294967297,epoch=60000");
 }
 
 TEST(ExperimentOptionsTest, JobsFromEitherSpelling) {

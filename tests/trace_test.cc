@@ -171,6 +171,43 @@ TEST(Replay, RunsTraceOnMemorySystem) {
   EXPECT_GT(r.memory_energy_j, 0.0);
 }
 
+TEST(Replay, PinnedDdr3Results) {
+  // Exact results of one full pass over recorded gcc and mcf traces. The
+  // replay loop may advance time however it likes (mcf's core is stalled
+  // for most of its cycles, gcc's far less), but not change a field.
+  struct Pin {
+    const char* app;
+    Cycle cycles;
+    double ipc;
+    std::uint64_t llc_misses;
+    TimePs mem_access_time;
+    double energy_j;
+    std::uint64_t frames;
+  };
+  for (const Pin& pin :
+       {Pin{"gcc", 50'332, 0.9934037987761265, 1950, 87'458'450,
+            2.5567496000000001e-05, 157},
+        Pin{"mcf", 123'581, 0.40459293904402782, 3473, 156'914'450,
+            5.0301367999999998e-05, 1584}}) {
+    TempFile file(std::string("moca_trace_replay_pin_") + pin.app + ".trc");
+    RecordOptions options;
+    options.ops = 50'000;
+    (void)record_app_trace(workload::app_by_name(pin.app), file.path,
+                           options);
+    const ReplayResult r = replay_trace(
+        file.path, sim::homogeneous(dram::MemKind::kDdr3),
+        std::make_unique<core::HomogeneousPolicy>(dram::MemKind::kDdr3));
+    EXPECT_EQ(r.instructions, 50'000u) << pin.app;
+    EXPECT_EQ(r.cycles, pin.cycles) << pin.app;
+    EXPECT_EQ(r.ipc, pin.ipc) << pin.app;
+    EXPECT_EQ(r.llc_misses, pin.llc_misses) << pin.app;
+    EXPECT_EQ(r.total_mem_access_time, pin.mem_access_time) << pin.app;
+    EXPECT_EQ(r.memory_energy_j, pin.energy_j) << pin.app;
+    EXPECT_EQ(r.frames_per_module, std::vector<std::uint64_t>{pin.frames})
+        << pin.app;
+  }
+}
+
 TEST(Replay, MocaPolicyHonorsRecordedPartitions) {
   TempFile file("moca_trace_replay_moca.trc");
   sim::Experiment e;
