@@ -1,5 +1,6 @@
 #include "cpu/core.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -76,6 +77,24 @@ Cycle Core::next_wheel_cycle() const {
   return stats_.cycles + distance;
 }
 
+void Core::sleep(Cycle next) {
+  MOCA_CHECK(idle_ && !done());
+  asleep_ = true;
+  sleep_from_ = next;
+  // The wheel runs on the core's own step count, which lags the caller's
+  // clock by however long the core sat out (finished early in warm-up).
+  const Cycle wheel = next_wheel_cycle();
+  wake_at_ = wheel == std::numeric_limits<Cycle>::max()
+                 ? wheel
+                 : next + (wheel - stats_.cycles);
+}
+
+void Core::settle(Cycle cycle) {
+  if (!asleep_ || cycle <= sleep_from_) return;
+  skip(cycle - sleep_from_);
+  sleep_from_ = cycle;
+}
+
 void Core::skip(Cycle n) {
   MOCA_CHECK(idle_ && n > 0);
   stats_.cycles += n;
@@ -121,6 +140,9 @@ bool Core::run_wheel() {
 }
 
 void Core::complete(std::uint64_t seq) {
+  // The one way an event changes a sleeping core: it wakes up to step in
+  // the cycle whose run_until is dispatching this event.
+  if (asleep_) wake(ps_to_cycle_ceil(events_.now()));
   Entry& e = slot(seq);
   MOCA_CHECK(e.valid && e.seq == seq && !e.done);
   e.done = true;
@@ -146,6 +168,7 @@ void Core::make_ready(Entry& entry) {
     schedule_wheel(entry.walk_done, WheelItem{entry.seq, false});
     return;
   }
+  if (entry.op.kind != OpKind::kLoad) ++ready_non_loads_;
   ready_push_back(entry.seq);
 }
 
@@ -216,10 +239,17 @@ void Core::do_issue() {
   issue_deferred_.clear();
 
   while (issued < params_.width && !ready_empty()) {
+    // Once no load can issue this cycle and only loads are left, popping
+    // them would push each one back where it was.
+    if ((mshr_full || load_ports >= params_.l1_load_ports) &&
+        ready_non_loads_ == 0) {
+      break;
+    }
     const std::uint64_t seq = ready_pop_front();
     Entry& e = slot(seq);
     if (!e.valid || e.seq != seq || e.issued) continue;
     MOCA_CHECK(e.deps_remaining == 0);
+    if (e.op.kind != OpKind::kLoad) --ready_non_loads_;
 
     switch (e.op.kind) {
       case OpKind::kAlu: {
@@ -407,24 +437,58 @@ void Core::register_stats(StatRegistry& registry,
                    &stats_.mshr_reject_cycles);
 }
 
-Cycle skip_idle_cycles(std::span<Core* const> cores,
-                       const EventQueue& events, Cycle next, Cycle limit) {
-  if (cores.empty()) return next;
-  Cycle target = limit;
-  for (const Core* core : cores) {
-    if (!core->idle()) return next;
-    // A core's wheel runs on its own step count, which lags the caller's
-    // clock by however long the core sat out (finished early in warm-up).
-    const Cycle wait = core->next_wheel_cycle() - core->current_cycle();
-    if (wait < target - next) target = next + wait;
+Cycle run_cores(std::vector<Core*> cores, EventQueue& events, Cycle cycle,
+                Cycle limit, const std::function<void()>& poll,
+                const std::function<void(const Core&, Cycle)>& on_done) {
+  Cycle next_poll = cycle;
+  while (!cores.empty()) {
+    // A jump can pass a block's first cycle, so poll on entering a block.
+    if (cycle >= next_poll) {
+      next_poll = (cycle | 4095) + 1;
+      if (poll) poll();
+    }
+    events.run_until(cycle_to_ps(cycle));
+    bool all_asleep = true;
+    Cycle next = limit;  // earliest wake cycle, while every core sleeps
+    for (std::size_t r = 0; r < cores.size();) {
+      Core& core = *cores[r];
+      if (core.asleep()) {
+        if (core.wake_cycle() > cycle) {
+          next = std::min(next, core.wake_cycle());
+          ++r;
+          continue;
+        }
+        core.wake(cycle);
+      }
+      core.step();
+      if (core.done()) {
+        if (on_done) on_done(core, cycle + 1);
+        cores.erase(cores.begin() + static_cast<std::ptrdiff_t>(r));
+        continue;
+      }
+      if (core.idle()) {
+        core.sleep(cycle + 1);
+        next = std::min(next, core.wake_cycle());
+      } else {
+        all_asleep = false;
+      }
+      ++r;
+    }
+    if (!all_asleep || cores.empty()) {
+      next = cycle + 1;
+    } else if (!events.empty() && events.next_time() < cycle_to_ps(next)) {
+      // An event at time t first runs in the cycle whose run_until covers it.
+      next = ps_to_cycle_ceil(events.next_time());
+    }
+    cycle = next;
+    if (cycle >= limit) {
+      // Counters as per-cycle stepping leaves them at the limit.
+      for (Core* core : cores) core->settle(limit);
+    }
+    MOCA_CHECK_MSG(cycle < limit,
+                   "simulation exceeded cycle limit (deadlock?)");
   }
-  // An event at time t first runs in the cycle whose run_until covers it.
-  if (!events.empty() && events.next_time() < cycle_to_ps(target)) {
-    target = ps_to_cycle_ceil(events.next_time());
-  }
-  if (target <= next) return next;
-  for (Core* core : cores) core->skip(target - next);
-  return target;
+  return cycle;
 }
 
 }  // namespace moca::cpu

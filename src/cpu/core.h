@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -74,6 +73,8 @@ struct CoreStats {
     mshr_reject_cycles -= o.mshr_reject_cycles;
     return *this;
   }
+
+  friend bool operator==(const CoreStats&, const CoreStats&) = default;
 };
 
 /// One simulated core bound to a process and a private cache hierarchy.
@@ -81,7 +82,8 @@ class Core {
  public:
   /// Reports `cycles` cycles in which the ROB head stalled on an
   /// LLC-missing load, with that load's object tag (profiler hook): 1 from
-  /// a step, the whole jump from skip(). Flat (function pointer, context,
+  /// a step, a sleeping core's skipped steps at once when it is charged
+  /// (so sinks must only add the count). Flat (function pointer, context,
   /// payload) form: this fires millions of times per run, and the
   /// observers are all `method(fixed_arg, object, cycles)` calls, so the
   /// extra dispatch hop and construction cost of std::function buys
@@ -106,17 +108,28 @@ class Core {
 
   /// True when the last step() changed nothing but `cycles`,
   /// `rob_head_stall_cycles` and `mshr_reject_cycles`: no wheel slot ran,
-  /// nothing committed, issued, dispatched or fetched. Until an event or a
-  /// wheel slot changes the core, every further step repeats that one.
-  /// In-order cores are never idle: their page-walk wait is not on the
-  /// wheel, so next_wheel_cycle() cannot see when it ends.
+  /// nothing committed, issued, dispatched or fetched. Until a wheel slot
+  /// or an event's complete() changes the core, every further step repeats
+  /// that one. In-order cores are never idle: their page-walk wait is not
+  /// on the wheel, so the wheel cannot say when it ends.
   [[nodiscard]] bool idle() const { return idle_; }
-  /// Cycle (in current_cycle() terms) at which the completion wheel next
-  /// has a slot due; max() when it is empty.
-  [[nodiscard]] Cycle next_wheel_cycle() const;
-  /// Repeats the counter effects of the last, idle step `n` times; the
-  /// stall observer receives them as one call with count `n`.
-  void skip(Cycle n);
+
+  /// Sleeping, on the caller's clock (see run_cores). After an idle step,
+  /// sleep(next) takes the core out of the step loop: `next` is the first
+  /// caller cycle whose step is not yet charged, and wake_cycle() the one
+  /// in which its next completion-wheel slot is due (max() for none).
+  /// complete() wakes it early, in the cycle whose run_until is dispatching
+  /// the event. settle(c) charges a sleeping core the idle steps of every
+  /// cycle before `c` without waking it; wake(c) settles, then the core
+  /// steps again from cycle `c` on.
+  void sleep(Cycle next);
+  [[nodiscard]] bool asleep() const { return asleep_; }
+  [[nodiscard]] Cycle wake_cycle() const { return wake_at_; }
+  void settle(Cycle cycle);
+  void wake(Cycle cycle) {
+    settle(cycle);
+    asleep_ = false;
+  }
 
   void set_stall_observer(StallObserver observer, void* ctx,
                           std::uint64_t arg) {
@@ -182,6 +195,12 @@ class Core {
   }
   /// Runs the wheel slot due this cycle; false when none was due.
   bool run_wheel();
+  /// Cycle (in current_cycle() terms) at which the completion wheel next
+  /// has a slot due; max() when it is empty.
+  [[nodiscard]] Cycle next_wheel_cycle() const;
+  /// Repeats the counter effects of the last, idle step `n` times; the
+  /// stall observer receives them as one call with count `n`.
+  void skip(Cycle n);
   void do_commit();
   void do_issue();
   void do_issue_in_order();
@@ -210,6 +229,9 @@ class Core {
   // popped and re-pushed within one do_issue pass), so occupancy never
   // exceeds the ROB capacity and the ring never wraps onto itself. Indices
   // grow monotonically (unsigned wraparound is benign with the mask).
+  // ready_non_loads_ counts ALU and store entries at push and drops only
+  // when one is popped live, so a stale entry can keep it above the true
+  // count but never below: do_issue stops scanning only at a true zero.
   [[nodiscard]] bool ready_empty() const {
     return ready_head_ == ready_tail_;
   }
@@ -235,6 +257,7 @@ class Core {
   std::uint64_t ready_mask_ = 0;
   std::uint64_t ready_head_ = 0;
   std::uint64_t ready_tail_ = 0;
+  std::uint64_t ready_non_loads_ = 0;
   // Scratch for do_issue's deferred loads, hoisted out of the per-cycle
   // loop so its capacity is reused instead of reallocated every cycle.
   std::vector<std::uint64_t> issue_deferred_;
@@ -250,20 +273,40 @@ class Core {
   bool idle_ = false;
   bool last_stalled_ = false;
   bool last_rejected_ = false;
+  // Sleeping state, in caller cycles: the first step not yet charged and
+  // the cycle the wheel wakes the core.
+  bool asleep_ = false;
+  Cycle sleep_from_ = 0;
+  Cycle wake_at_ = 0;
   StallObserver stall_observer_ = nullptr;
   void* stall_observer_ctx_ = nullptr;
   std::uint64_t stall_observer_arg_ = 0;
   CoreStats stats_;
 };
 
-/// Idle-cycle skip-ahead, shared by every loop that steps cores. Call it
-/// after stepping each of `cores` (the ones still running) in one cycle,
-/// with `next` the cycle about to run. Unless every step was idle it
-/// returns `next`. Otherwise nothing can change before the earliest of the
-/// next pending event, the cores' next wheel slots and `limit`: it charges
-/// each core the cycles up to that point with skip() and returns it.
-[[nodiscard]] Cycle skip_idle_cycles(std::span<Core* const> cores,
-                                     const EventQueue& events, Cycle next,
-                                     Cycle limit);
+/// Deadlock guard for a run of `instructions` per core, warm-up included:
+/// no workload should run below IPC 0.005. Budgets above
+/// kMaxGuardedInstructions would push it past kMaxCyclesInPs, so the
+/// experiment knobs reject them at parse time.
+[[nodiscard]] constexpr Cycle cycle_limit(std::uint64_t instructions) {
+  return static_cast<Cycle>(instructions) * 200 + 1'000'000;
+}
+inline constexpr std::uint64_t kMaxGuardedInstructions =
+    static_cast<std::uint64_t>((kMaxCyclesInPs - 1'000'000) / 200);
+
+/// The step loop of every caller that runs cores. Runs `cores` (not yet
+/// done, in id order) to their budgets on the caller's clock from `cycle`
+/// and returns the cycle after the last step. Each cycle drains `events`
+/// up to its start, then steps the awake cores in order; a core whose step
+/// was idle sleeps until its wheel or a complete() wakes it. When every
+/// core sleeps, the clock jumps to the earliest wake cycle, next event or
+/// `limit`. `poll` runs in every 4096-cycle block the clock enters;
+/// `on_done(core, c)` reports a core that finished with the cycle after
+/// its last step. Reaching `limit` charges every core up to it and throws
+/// CheckError. Events that read core counters must settle() the sleeping
+/// cores to their cycle first (sim::System::every does).
+Cycle run_cores(std::vector<Core*> cores, EventQueue& events, Cycle cycle,
+                Cycle limit, const std::function<void()>& poll = {},
+                const std::function<void(const Core&, Cycle)>& on_done = {});
 
 }  // namespace moca::cpu

@@ -45,6 +45,19 @@ struct Value {
   }
 };
 
+/// Rejects a budget whose deadlock guard, cpu::cycle_limit over the
+/// measured plus warm-up instructions, would overflow the picosecond clock.
+/// Checked by both budget knobs against the other's current value, so the
+/// one applied last sees the final pair.
+void check_cycle_limit(const Experiment& e, const Value& v) {
+  constexpr std::uint64_t kMax = cpu::kMaxGuardedInstructions;
+  MOCA_CHECK_MSG(e.instructions <= kMax &&
+                     e.effective_warmup() <= kMax - e.instructions,
+                 v.who << " must keep instructions plus warm-up at most "
+                       << kMax << " (the cycle limit overflows), got '"
+                       << v.text << "'");
+}
+
 /// Supervision knobs route sweeps through SweepSupervisor.
 SupervisorOptions& supervise(ExperimentOptions& o) {
   o.supervised = true;
@@ -66,14 +79,19 @@ constexpr Knob kKnobs[] = {
      [](ExperimentOptions& o, const Value& v) {
        o.experiment.instructions = v.positive();
        o.instructions_overridden = true;
+       check_cycle_limit(o.experiment, v);
      }},
     {"warmup", true, "MOCA_SIM_WARMUP",
      [](ExperimentOptions& o, const Value& v) {
        o.experiment.warmup = v.number();
+       check_cycle_limit(o.experiment, v);
      }},
     {"config", true, "MOCA_SIM_CONFIG",
      [](ExperimentOptions& o, const Value& v) {
-       o.experiment.hetero_config = static_cast<int>(v.number());
+       const std::uint64_t config = v.number();
+       MOCA_CHECK_MSG(config >= 1 && config <= 3,
+                      v.who << " must be 1, 2 or 3, got '" << v.text << "'");
+       o.experiment.hetero_config = static_cast<int>(config);
      }},
     {"epoch", true, "MOCA_SIM_EPOCH",
      [](ExperimentOptions& o, const Value& v) {

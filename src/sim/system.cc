@@ -27,6 +27,8 @@ void System::every(TimePs period, Tick tick) {
     TimePs period;
     Tick tick;
     void operator()() const {
+      // Ticks read core counters: charge the sleeping cores first.
+      system->settle_cores();
       if (tick()) {
         system->events_.schedule(system->events_.now() + period, *this);
       }
@@ -227,6 +229,11 @@ void System::flush_tlbs() {
   for (PerCore& pc : cores_) pc.core->flush_tlb();
 }
 
+void System::settle_cores() {
+  const Cycle cycle = ps_to_cycle_ceil(events_.now());
+  for (PerCore& pc : cores_) pc.core->settle(cycle);
+}
+
 void System::epoch_tick() {
   if (sampling_stopped_) return;
   if (auditor_ != nullptr) auditor_->run_audit();
@@ -318,64 +325,38 @@ RunResult System::run(const RunContext& context) {
   // Transient whole-job faults fire before any simulation work so the
   // supervisor's retry replays the attempt from scratch.
   if (injector_ != nullptr) injector_->maybe_fail_job();
-  // Generous deadlock guard: no workload should run below IPC 0.005.
-  const Cycle cycle_limit =
-      static_cast<Cycle>(options_.instructions_per_core +
-                         options_.warmup_instructions) *
-          200 +
-      1'000'000;
+  const Cycle limit = cpu::cycle_limit(options_.instructions_per_core +
+                                       options_.warmup_instructions);
   Cycle cycle = 0;
-  Cycle next_poll = 0;
   std::vector<Cycle> absolute_finish(cores_.size(), 0);
+  const auto record_finish = [&](const cpu::Core& core, Cycle at) {
+    absolute_finish[core.id()] = at;
+  };
+  // Supervised deadline / interrupt, polled once per 4096-cycle block;
+  // 4096 cycles is ~4.1 us simulated, far below any meaningful timeout
+  // granularity. The text is fixed (no cycle number): where a wall-clock
+  // deadline lands depends on host speed, and the text becomes the
+  // outcome's deterministic error.
+  const auto poll = [&context] {
+    if (context.stop_requested()) {
+      throw CancelledError(
+          "simulation cancelled (wall-clock deadline or interrupt)");
+    }
+  };
 
   const auto run_phase = [&](auto budget_of) {
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      cores_[i].core->set_budget(budget_of(i));
-    }
-    // Track the still-running cores: a finished core drops out once
-    // instead of being re-polled every cycle (stepping a done core is a
-    // no-op, so skipping it is behavior-identical). Core ids index cores_.
+    // A core with nothing to run in this phase finishes where it starts.
     std::vector<cpu::Core*> running;
     for (PerCore& pc : cores_) {
-      if (!pc.core->done()) {
+      pc.core->set_budget(budget_of(pc.core->id()));
+      if (pc.core->done()) {
+        record_finish(*pc.core, cycle);
+      } else {
         running.push_back(pc.core.get());
-      } else if (absolute_finish[pc.core->id()] == 0) {
-        absolute_finish[pc.core->id()] = cycle;
       }
     }
-    while (!running.empty()) {
-      // Supervised deadline / interrupt, polled once per 4096-cycle block
-      // the clock enters (a skip-ahead can jump over a block's first
-      // cycle); 4096 cycles is ~4.1 us simulated, far below any meaningful
-      // timeout granularity. The text is fixed (no cycle number): where a
-      // wall-clock deadline lands depends on host speed, and the text
-      // becomes the outcome's deterministic error.
-      if (cycle >= next_poll) {
-        next_poll = (cycle | 4095) + 1;
-        if (context.stop_requested()) {
-          throw CancelledError(
-              "simulation cancelled (wall-clock deadline or interrupt)");
-        }
-      }
-      events_.run_until(cycle_to_ps(cycle));
-      for (std::size_t r = 0; r < running.size();) {
-        cpu::Core& core = *running[r];
-        core.step();
-        if (core.done()) {
-          // The previous loop shape observed a finish at the top of the
-          // next iteration — one cycle after the finishing step.
-          if (absolute_finish[core.id()] == 0) {
-            absolute_finish[core.id()] = cycle + 1;
-          }
-          running.erase(running.begin() + static_cast<std::ptrdiff_t>(r));
-        } else {
-          ++r;
-        }
-      }
-      cycle = cpu::skip_idle_cycles(running, events_, cycle + 1, cycle_limit);
-      MOCA_CHECK_MSG(cycle < cycle_limit,
-                     "simulation exceeded cycle limit (deadlock?)");
-    }
+    cycle = cpu::run_cores(std::move(running), events_, cycle, limit, poll,
+                           record_finish);
   };
 
   // Warm-up phase: run, then snapshot every counter and discard it.
@@ -394,7 +375,6 @@ RunResult System::run(const RunContext& context) {
       module_base[m] = phys_.module(m).stats();
     }
     profiler_.reset();
-    std::fill(absolute_finish.begin(), absolute_finish.end(), Cycle{0});
     if (options_.observability.trace) {
       trace_.instant("warmup_end", "phase", cycle_to_ps(warmup_end));
     }

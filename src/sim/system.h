@@ -179,6 +179,9 @@ class System {
   /// Invalidates every core's TLB: the one shootdown after a page-mover
   /// pass that moved pages.
   void flush_tlbs();
+  /// Charges every sleeping core the idle steps before the current
+  /// event's cycle, so a tick reads the counters of per-cycle stepping.
+  void settle_cores();
 
   /// Wires every component's probes into stat_registry_ and schedules the
   /// periodic epoch tick. Only called when observability is on.

@@ -97,15 +97,8 @@ ReplayResult replay_trace(const std::string& trace_path,
       options.instructions > 0 ? options.instructions : reader.count();
   core.set_budget(budget);
 
-  Cycle cycle = 0;
-  const Cycle limit = static_cast<Cycle>(budget) * 200 + 1'000'000;
-  cpu::Core* const cores[] = {&core};
-  while (!core.done()) {
-    events.run_until(cycle_to_ps(cycle));
-    core.step();
-    cycle = cpu::skip_idle_cycles(cores, events, cycle + 1, limit);
-    MOCA_CHECK_MSG(cycle < limit, "replay exceeded cycle limit");
-  }
+  const Cycle cycle =
+      cpu::run_cores({&core}, events, 0, cpu::cycle_limit(budget));
   events.run_until(cycle_to_ps(cycle) + 50'000'000);  // drain in flight
 
   ReplayResult result;

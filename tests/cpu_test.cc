@@ -1,7 +1,8 @@
 // Core model tests: width limits, dependencies, load latency, MLP,
-// ROB-head stall accounting, TLB behaviour, idle-cycle skip-ahead.
+// ROB-head stall accounting, TLB behaviour, per-core sleeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -298,111 +299,299 @@ std::vector<MicroOp> random_tape(proptest::Gen& g) {
   return tape;
 }
 
+/// Cores on private hierarchies that share one event queue and one memory
+/// channel serving a request at a time, so each core's timing depends on
+/// the others' traffic. The channel logs every request it sees, and a
+/// periodic event snapshots every core's counters and stall sums.
+struct Machine {
+  struct Request {
+    TimePs time = 0;
+    std::uint32_t core = 0;
+    std::uint64_t paddr = 0;
+    bool is_write = false;
+    bool operator==(const Request&) const = default;
+  };
+  struct Snapshot {
+    std::vector<CoreStats> stats;
+    std::vector<StallSums> stalls;
+    bool operator==(const Snapshot&) const = default;
+  };
+
+  EventQueue events;
+  dram::MemoryModule module;
+  os::PhysicalMemory phys;
+  core::HomogeneousPolicy policy{dram::MemKind::kDdr3};
+  std::unique_ptr<os::Os> os;
+  std::vector<std::unique_ptr<cache::MemHierarchy>> hiers;
+  std::vector<std::unique_ptr<ScriptStream>> streams;
+  std::vector<std::unique_ptr<Core>> cores;
+  std::vector<StallSums> stalls;
+  std::vector<Request> requests;
+  std::vector<Snapshot> snapshots;
+  std::vector<Cycle> finish;  // caller cycle after each core's last step
+  // Sleeping cores seen by the snapshots, and those seen while another
+  // core was awake.
+  std::uint64_t slept = 0;
+  std::uint64_t slept_beside_a_runner = 0;
+  TimePs latency = 0;
+  TimePs service = 0;
+  TimePs busy_until = 0;
+
+  Machine(const std::vector<std::vector<MicroOp>>& tapes,
+          const std::vector<CoreParams>& params, TimePs latency_ps,
+          TimePs service_ps)
+      : module(dram::make_ddr3(), 256 * MiB, 1, events, "mem"),
+        stalls(tapes.size()),
+        finish(tapes.size(), 0),
+        latency(latency_ps),
+        service(service_ps) {
+    phys.add_module(&module);
+    os = std::make_unique<os::Os>(phys, policy);
+    for (std::uint32_t i = 0; i < tapes.size(); ++i) {
+      const os::ProcessId pid = os->create_process();
+      hiers.push_back(std::make_unique<cache::MemHierarchy>(
+          cache::default_l1d(), cache::default_l2(), events,
+          [this, i](std::uint64_t paddr, bool is_write,
+                    std::function<void(TimePs)> cb) {
+            requests.push_back({events.now(), i, paddr, is_write});
+            const TimePs start = std::max(events.now(), busy_until);
+            busy_until = start + service;
+            if (cb) {
+              const TimePs done = start + latency;
+              events.schedule(done, [cb = std::move(cb), done] { cb(done); });
+            }
+          }));
+      streams.push_back(std::make_unique<ScriptStream>(tapes[i]));
+      cores.push_back(std::make_unique<Core>(i, params[i], *streams[i],
+                                             *hiers[i], *os, pid, events));
+      cores[i]->set_stall_observer(add_stalls, &stalls[i], 0);
+    }
+  }
+
+  /// Snapshots every `period` from `start` while a core still runs, up to
+  /// kMaxSnapshots (a run that never finishes must not grow without
+  /// bound). With `settle`, sleeping cores are charged first, as
+  /// sim::System::every does.
+  static constexpr std::size_t kMaxSnapshots = 20'000;
+  void snapshot_every(TimePs start, TimePs period, bool settle) {
+    events.schedule(start, [this, period, settle] {
+      if (settle) {
+        for (auto& core : cores) {
+          core->settle(ps_to_cycle_ceil(events.now()));
+        }
+      }
+      Snapshot snap;
+      bool running = false;
+      bool awake = false;
+      std::uint64_t asleep = 0;
+      for (std::size_t i = 0; i < cores.size(); ++i) {
+        snap.stats.push_back(cores[i]->stats());
+        snap.stalls.push_back(stalls[i]);
+        running |= !cores[i]->done();
+        awake |= !cores[i]->done() && !cores[i]->asleep();
+        asleep += cores[i]->asleep() ? 1 : 0;
+      }
+      slept += asleep;
+      if (awake) slept_beside_a_runner += asleep;
+      snapshots.push_back(std::move(snap));
+      if (running && snapshots.size() < kMaxSnapshots) {
+        snapshot_every(events.now() + period, period, settle);
+      }
+    });
+  }
+
+  void set_budgets(const std::vector<std::uint64_t>& budgets) {
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      cores[i]->set_budget(budgets[i]);
+    }
+  }
+
+  /// The reference loop: every unfinished core steps every cycle.
+  Cycle step_every_cycle(Cycle cycle, Cycle limit) {
+    const auto running = [this] {
+      for (const auto& core : cores) {
+        if (!core->done()) return true;
+      }
+      return false;
+    };
+    while (running()) {
+      events.run_until(cycle_to_ps(cycle));
+      for (std::size_t i = 0; i < cores.size(); ++i) {
+        if (cores[i]->done()) continue;
+        cores[i]->step();
+        if (cores[i]->done()) finish[i] = cycle + 1;
+      }
+      ++cycle;
+      if (cycle >= limit) throw CheckError("per-cycle run hit the limit");
+    }
+    return cycle;
+  }
+
+  Cycle run(Cycle cycle, Cycle limit) {
+    std::vector<Core*> running;
+    for (const auto& core : cores) {
+      if (!core->done()) running.push_back(core.get());
+    }
+    return run_cores(running, events, cycle, limit, {},
+                     [this](const Core& core, Cycle at) {
+                       finish[core.id()] = at;
+                     });
+  }
+};
+
 TEST(Core, IdleSkipMatchesPerCycleStepping) {
-  // Twin cores run one tape: one stepped every cycle, one that takes the
-  // skip rule whenever it is idle. Memory latencies off the cycle grid
-  // exercise the event-horizon rounding; the skipping twin's clock starts
-  // ahead of its core's own cycle count, like a core that sat out part of
-  // a run.
-  Cycle skipped = 0;
+  // Twin machines of 1-4 cores run the same tapes: one steps every core
+  // every cycle, the other runs through run_cores, where an idle core
+  // sleeps while the others keep stepping and the clock jumps once all
+  // sleep. Each core runs two phases (a short first budget, then the rest
+  // of its tape), so a core that finished early sits out while the others
+  // run and its own cycle count lags the caller's clock, as after warm-up
+  // in sim::System. Channel latencies and snapshot periods off the cycle
+  // grid exercise the event-horizon rounding.
+  std::uint64_t slept = 0;
+  std::uint64_t slept_beside_a_runner = 0;
   const proptest::Property prop = [&](proptest::Gen& g) {
-    CoreParams params;
-    params.in_order = g.chance(0.2);
-    params.rob_entries = static_cast<std::uint32_t>(
-        g.pick(std::vector<std::uint64_t>{84, 8, 128}));
-    params.lq_entries = static_cast<std::uint32_t>(
-        g.pick(std::vector<std::uint64_t>{32, 4}));
-    params.width = static_cast<std::uint32_t>(g.range(1, 3));
-    params.l1_load_ports = static_cast<std::uint32_t>(g.range(1, 2));
-    params.page_walk_cycles = static_cast<Cycle>(
-        g.pick(std::vector<std::uint64_t>{50, 0, 127}));
-    const std::vector<MicroOp> tape = random_tape(g);
+    const std::size_t n = static_cast<std::size_t>(g.range(1, 4));
+    std::vector<CoreParams> params(n);
+    std::vector<std::vector<MicroOp>> tapes;
+    std::vector<std::uint64_t> first_budgets;
+    std::vector<std::uint64_t> full_budgets;
+    for (CoreParams& p : params) {
+      p.in_order = g.chance(0.2);
+      p.rob_entries = static_cast<std::uint32_t>(
+          g.pick(std::vector<std::uint64_t>{84, 8, 128}));
+      p.lq_entries = static_cast<std::uint32_t>(
+          g.pick(std::vector<std::uint64_t>{32, 4}));
+      p.width = static_cast<std::uint32_t>(g.range(1, 3));
+      p.l1_load_ports = static_cast<std::uint32_t>(g.range(1, 2));
+      p.page_walk_cycles = static_cast<Cycle>(
+          g.pick(std::vector<std::uint64_t>{50, 0, 127}));
+      tapes.push_back(random_tape(g));
+      full_budgets.push_back(tapes.back().size());
+      first_budgets.push_back(g.range(1, tapes.back().size()));
+    }
     const TimePs latency = static_cast<TimePs>(g.range(1'000, 300'000));
+    const TimePs service = static_cast<TimePs>(g.range(0, 20'000));
+    const TimePs period = static_cast<TimePs>(g.range(1'700, 40'000));
     const Cycle offset = static_cast<Cycle>(g.below(5'000));
+    const Cycle limit = offset + 2'000'000;
 
-    Fixture naive(tape, params);
-    Fixture skipping(tape, params);
-    naive.mem_latency = skipping.mem_latency = latency;
-    StallSums naive_stalls;
-    StallSums skip_stalls;
-    naive.core->set_stall_observer(add_stalls, &naive_stalls, 0);
-    skipping.core->set_stall_observer(add_stalls, &skip_stalls, 0);
-    naive.run();
-
-    Core* const cores[] = {skipping.core.get()};
-    const Cycle limit = offset + 10'000'000;
-    Cycle cycle = offset;
-    while (!skipping.core->done()) {
-      skipping.events.run_until(cycle_to_ps(cycle));
-      skipping.core->step();
-      const Cycle next =
-          skip_idle_cycles(cores, skipping.events, cycle + 1, limit);
-      skipped += next - (cycle + 1);
-      cycle = next;
-      PROP_REQUIRE(cycle < limit);
+    Machine naive(tapes, params, latency, service);
+    Machine sleeping(tapes, params, latency, service);
+    naive.snapshot_every(cycle_to_ps(offset) + period, period, false);
+    sleeping.snapshot_every(cycle_to_ps(offset) + period, period, true);
+    Cycle naive_cycle = offset;
+    Cycle sleeping_cycle = offset;
+    for (const auto* budgets : {&first_budgets, &full_budgets}) {
+      naive.set_budgets(*budgets);
+      sleeping.set_budgets(*budgets);
+      naive_cycle = naive.step_every_cycle(naive_cycle, limit);
+      sleeping_cycle = sleeping.run(sleeping_cycle, limit);
+      PROP_REQUIRE_MSG(naive_cycle == sleeping_cycle,
+                       "per-cycle " << naive_cycle << " sleeping "
+                                    << sleeping_cycle);
     }
 
-    const CoreStats& a = naive.core->stats();
-    const CoreStats& b = skipping.core->stats();
-    PROP_REQUIRE(a.committed == b.committed);
-    PROP_REQUIRE_MSG(a.cycles == b.cycles,
-                     "per-cycle " << a.cycles << " skipping " << b.cycles);
-    PROP_REQUIRE(a.alu_ops == b.alu_ops);
-    PROP_REQUIRE(a.loads == b.loads);
-    PROP_REQUIRE(a.stores == b.stores);
-    PROP_REQUIRE(a.load_llc_misses == b.load_llc_misses);
-    PROP_REQUIRE_MSG(a.rob_head_stall_cycles == b.rob_head_stall_cycles,
-                     "per-cycle " << a.rob_head_stall_cycles << " skipping "
-                                  << b.rob_head_stall_cycles);
-    PROP_REQUIRE(a.tlb_hits == b.tlb_hits);
-    PROP_REQUIRE(a.tlb_misses == b.tlb_misses);
-    PROP_REQUIRE_MSG(a.mshr_reject_cycles == b.mshr_reject_cycles,
-                     "per-cycle " << a.mshr_reject_cycles << " skipping "
-                                  << b.mshr_reject_cycles);
-    PROP_REQUIRE(naive.core->finish_cycle() == skipping.core->finish_cycle());
-    PROP_REQUIRE(naive_stalls == skip_stalls);
+    for (std::size_t i = 0; i < n; ++i) {
+      const CoreStats& a = naive.cores[i]->stats();
+      const CoreStats& b = sleeping.cores[i]->stats();
+      PROP_REQUIRE_MSG(a == b, "core " << i << ": cycles " << a.cycles
+                                       << " vs " << b.cycles << ", stalls "
+                                       << a.rob_head_stall_cycles << " vs "
+                                       << b.rob_head_stall_cycles
+                                       << ", rejects " << a.mshr_reject_cycles
+                                       << " vs " << b.mshr_reject_cycles);
+      PROP_REQUIRE(naive.cores[i]->finish_cycle() ==
+                   sleeping.cores[i]->finish_cycle());
+    }
+    PROP_REQUIRE(naive.finish == sleeping.finish);
+    PROP_REQUIRE(naive.stalls == sleeping.stalls);
+    PROP_REQUIRE_MSG(naive.snapshots.size() == sleeping.snapshots.size(),
+                     naive.snapshots.size()
+                         << " vs " << sleeping.snapshots.size());
+    for (std::size_t s = 0; s < naive.snapshots.size(); ++s) {
+      PROP_REQUIRE_MSG(naive.snapshots[s] == sleeping.snapshots[s],
+                       "snapshot " << s);
+    }
+    PROP_REQUIRE_MSG(naive.requests.size() == sleeping.requests.size(),
+                     naive.requests.size()
+                         << " vs " << sleeping.requests.size());
+    PROP_REQUIRE(naive.requests == sleeping.requests);
+    slept += sleeping.slept;
+    slept_beside_a_runner += sleeping.slept_beside_a_runner;
   };
   proptest::Config cfg;
   cfg.seed = 0x5C1F;
   cfg.cases = 150;
   const proptest::Result r =
-      proptest::check("idle-skip-vs-per-cycle", cfg, prop);
+      proptest::check("sleeping-vs-per-cycle", cfg, prop);
   EXPECT_TRUE(r.ok) << r.message;
-  // The property is vacuous unless the skipping twin really jumped.
-  EXPECT_GT(skipped, 0);
+  // The property is vacuous unless cores really slept, some of them while
+  // another core kept stepping.
+  EXPECT_GT(slept, 0u);
+  EXPECT_GT(slept_beside_a_runner, 0u);
 }
 
 TEST(Core, IdleSkipStopsAtTheCycleLimit) {
   // The head load's data arrives long after the limit, as in a deadlock:
-  // per-cycle stepping spins on the stalled head up to the limit, the skip
-  // rule jumps there in a few steps and charges the same counters, so the
-  // caller's cycle-limit check fails the same way.
+  // per-cycle stepping spins on the stalled head up to the limit; the
+  // sleeping core jumps there at once, is charged the same counters and
+  // the loop throws the cycle-limit error.
   const Cycle limit = 200'000;
   const std::vector<MicroOp> tape{load(os::kHeapPowBase, 0, /*object=*/5)};
   Fixture naive(tape);
-  Fixture skipping(tape);
-  naive.mem_latency = skipping.mem_latency = cycle_to_ps(1'000'000'000);
+  Fixture sleeping(tape);
+  naive.mem_latency = sleeping.mem_latency = cycle_to_ps(1'000'000'000);
   for (Cycle cycle = 0; cycle < limit; ++cycle) {
     naive.events.run_until(cycle_to_ps(cycle));
     naive.core->step();
   }
-  Core* const cores[] = {skipping.core.get()};
-  Cycle cycle = 0;
-  int steps = 0;
-  while (cycle < limit) {
-    skipping.events.run_until(cycle_to_ps(cycle));
-    skipping.core->step();
-    ++steps;
-    cycle = skip_idle_cycles(cores, skipping.events, cycle + 1, limit);
-  }
-  EXPECT_EQ(cycle, limit);
-  EXPECT_LT(steps, 1000);
-  EXPECT_EQ(skipping.core->stats().cycles, limit);
-  EXPECT_EQ(skipping.core->stats().cycles, naive.core->stats().cycles);
+  // The poll runs once per 4096-cycle block the clock enters, so a clock
+  // that jumped over whole blocks (from one DRAM refresh event to the
+  // next) polls fewer times than the limit spans blocks.
+  Cycle polls = 0;
+  EXPECT_THROW((void)run_cores({sleeping.core.get()}, sleeping.events, 0,
+                               limit, [&polls] { ++polls; }),
+               CheckError);
+  EXPECT_LT(polls, limit / 4096);
+  EXPECT_EQ(sleeping.core->stats().cycles, limit);
+  EXPECT_EQ(sleeping.core->stats(), naive.core->stats());
   EXPECT_GT(naive.core->stats().rob_head_stall_cycles, limit - 1000);
-  EXPECT_EQ(skipping.core->stats().rob_head_stall_cycles,
-            naive.core->stats().rob_head_stall_cycles);
-  EXPECT_EQ(skipping.core->stats().committed, naive.core->stats().committed);
+}
+
+TEST(Core, AluBehindRejectedLoadsIssuesInTheSameCycle) {
+  // Four loads fill the L1 MSHR file; the fifth, X, is rejected every
+  // cycle until memory answers. An ALU chain whose head becomes ready
+  // after X sits behind X in the ready queue, so issue must look past the
+  // rejected load to start it. The budget ends before X commits, so the
+  // run finishes when both the first loads and the chain have committed:
+  // just after memory answers if the chain started at once, a chain length
+  // later if it waited for a free MSHR.
+  constexpr int kMshrs = 4;
+  constexpr int kChain = 60;
+  ASSERT_EQ(cache::default_l1d().mshrs, static_cast<std::uint32_t>(kMshrs));
+  std::vector<MicroOp> script;
+  for (int i = 0; i < kMshrs; ++i) {
+    script.push_back(load(os::kHeapPowBase + static_cast<std::uint64_t>(i) *
+                                                 kLineBytes));
+  }
+  script.push_back(alu(0, /*latency=*/12));  // the chain head's producer
+  for (int i = 0; i < kChain; ++i) script.push_back(alu(/*dep=*/1));
+  const std::size_t budget = script.size();
+  script.push_back(load(os::kHeapPowBase + kMshrs * kLineBytes));  // X
+  CoreParams params;
+  params.page_walk_cycles = 0;
+  Fixture f(script, params);
+  f.core->set_budget(budget);
+  f.mem_latency = cycle_to_ps(200);
+  f.run();
+  script.pop_back();  // the same run with no load to reject
+  Fixture free_issue(script, params);
+  free_issue.mem_latency = f.mem_latency;
+  free_issue.run();
+  EXPECT_GT(f.core->stats().mshr_reject_cycles, 100u);
+  EXPECT_EQ(free_issue.core->stats().mshr_reject_cycles, 0u);
+  EXPECT_EQ(f.core->stats().cycles, free_issue.core->stats().cycles);
 }
 
 }  // namespace

@@ -312,6 +312,32 @@ void expect_rejected_both_ways(const std::string& flag, const char* env,
       << "--" << flag << " '" << value << "'";
 }
 
+/// Like expect_rejected_both_ways, and each error names the spelling that
+/// carried the value.
+void expect_named_rejection_both_ways(const std::string& flag, const char* env,
+                                      const std::string& value) {
+  const auto message = [](const auto& apply) {
+    try {
+      apply();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  clear_sim_env();
+  setenv(env, value.c_str(), 1);
+  EXPECT_NE(message([] { (void)ExperimentOptions::from_env(); })
+                .find(std::string(env) + " must"),
+            std::string::npos)
+      << env << "='" << value << "'";
+  clear_sim_env();
+  ExperimentOptions o = ExperimentOptions::from_env();
+  EXPECT_NE(message([&] { o.apply_flags(parse_vec({"--" + flag, value})); })
+                .find("flag --" + flag + " must"),
+            std::string::npos)
+      << "--" << flag << " '" << value << "'";
+}
+
 TEST(ExperimentOptionsTest, EnvAndFlagRejectTheSameValues) {
   // Regression: the environment spellings of the rlimit caps accepted 0
   // (isolation with no cap) while the flags rejected it.
@@ -333,6 +359,50 @@ TEST(ExperimentOptionsTest, EnvAndFlagRejectTheSameValues) {
   expect_rejected_both_ways("epoch", "MOCA_SIM_EPOCH", "40000000000000000");
   expect_rejected_both_ways("adaptive", "MOCA_SIM_ADAPTIVE",
                             "max-pages=4294967297,epoch=60000");
+  // Budgets whose cycle limit, 200 cycles per instruction (warm-up
+  // included) plus 1,000,000, overflows the picosecond clock: the limit
+  // used to wrap and the run failed at once as a deadlock.
+  for (const std::string value : {"50000000000000000", "46116860184273879",
+                                  "46116860179274"}) {
+    expect_named_rejection_both_ways("instr", "MOCA_SIM_INSTR", value);
+    expect_named_rejection_both_ways("warmup", "MOCA_SIM_WARMUP", value);
+  }
+  // Heterogeneous configs are 1, 2 or 3; 4294967297 used to wrap to 1
+  // through int, and 7 failed only after the profiling stage.
+  for (const std::string value : {"0", "4", "7", "4294967297"}) {
+    expect_named_rejection_both_ways("config", "MOCA_SIM_CONFIG", value);
+  }
+  clear_sim_env();
+}
+
+TEST(ExperimentOptionsTest, BudgetsUpToTheCycleLimitBoundAreAccepted) {
+  // kMaxGuardedInstructions bounds measured plus warm-up instructions; an
+  // unset warm-up counts as its derived value (250,000 at this size).
+  const std::uint64_t max = cpu::kMaxGuardedInstructions;
+  EXPECT_LE(cpu::cycle_limit(max), kMaxCyclesInPs);
+  EXPECT_GT(cpu::cycle_limit(max + 1), kMaxCyclesInPs);
+  clear_sim_env();
+  ExperimentOptions o = ExperimentOptions::from_env();
+  o.apply_flags(parse_vec({"--instr", std::to_string(max - 250'000)}));
+  EXPECT_EQ(o.experiment.instructions, max - 250'000);
+  EXPECT_THROW(o.apply_flags(
+                   parse_vec({"--instr", std::to_string(max - 249'999)})),
+               CheckError);
+  // The pair is checked whichever spelling comes last: an environment
+  // warm-up that fits alone fails once the flag's budget is added to it.
+  setenv("MOCA_SIM_WARMUP", std::to_string(max / 2).c_str(), 1);
+  ExperimentOptions env = ExperimentOptions::from_env();
+  env.apply_flags(parse_vec({"--instr", std::to_string(max / 2)}));
+  EXPECT_THROW(env.apply_flags(parse_vec(
+                   {"--instr", std::to_string(max / 2 + 2)})),
+               CheckError);
+  clear_sim_env();
+  for (const std::string value : {"1", "2", "3"}) {
+    setenv("MOCA_SIM_CONFIG", value.c_str(), 1);
+    EXPECT_EQ(ExperimentOptions::from_env().experiment.hetero_config,
+              std::stoi(value));
+  }
+  clear_sim_env();
 }
 
 TEST(ExperimentOptionsTest, JobsFromEitherSpelling) {

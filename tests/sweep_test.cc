@@ -121,6 +121,35 @@ TEST(SweepRunner, PageMoveGoldenReportsAreByteIdentical) {
   check_golden("report_gcc_MOCA-adaptive.json", sim::to_json(moved));
 }
 
+/// The same gate over 4-core mixes, where cores wait on memory while their
+/// neighbours work and share the memory modules: the 2L2B mix under
+/// Homogen-DDR3 and MOCA, and a MOCA run whose adaptive engine moves pages
+/// while the epoch sampler reads every core's counters. Regenerate like
+/// the goldens above.
+TEST(SweepRunner, MultiCoreGoldenReportsAreByteIdentical) {
+  sim::Experiment e;
+  e.instructions = 100'000;
+  const std::vector<std::string> mix{"mcf", "libquantum", "lbm", "mser"};
+  const auto db = sim::build_profile_db(mix, e);
+  for (const sim::SystemChoice choice :
+       {sim::SystemChoice::kHomogenDdr3, sim::SystemChoice::kMoca}) {
+    check_golden("report_2L2B_" + sim::to_string(choice) + ".json",
+                 sim::to_json(sim::run_workload(mix, choice, db, e)));
+  }
+
+  sim::Experiment adaptive = e;
+  adaptive.adaptive = core::parse_adaptive_spec("epoch=5000,max-pages=3");
+  adaptive.observability.epoch_instructions = 5'000;
+  const std::vector<std::string> apps{"gcc", "mcf", "lbm", "mser"};
+  const sim::RunResult moved = sim::run_workload(
+      apps, sim::SystemChoice::kMoca, sim::build_profile_db(apps, adaptive),
+      adaptive);
+  EXPECT_GT(moved.adaptive.moved_pages, 0u);
+  EXPECT_GT(moved.observability.rows.size(), 0u);
+  check_golden("report_gcc-mcf-lbm-mser_MOCA-adaptive.json",
+               sim::to_json(moved));
+}
+
 TEST(SweepRunner, ThreadCountInvariance) {
   const sim::Experiment e = small_experiment();
   const std::vector<sim::SweepJob> jobs = sample_jobs(e);

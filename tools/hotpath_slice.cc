@@ -1,10 +1,12 @@
 // Single-job hot-path timing slice used by tools/bench_hotpath.sh.
 //
-// Runs exactly one cell of the fig08_09 matrix (one app under one memory
-// system, default milc x Homogen-DDR3) on one thread and prints a small JSON
+// Runs exactly one cell on one thread: by default one cell of the fig08_09
+// matrix (one app under one memory system, milc x Homogen-DDR3); --apps
+// takes one app or a comma-separated multi-programmed mix, one core per app
+// (e.g. --apps mcf,libquantum,lbm,mser, the 2L2B set). Prints a small JSON
 // record with wall-clock time and simulated instructions per second. The
-// simulated metrics are also emitted so before/after runs can be checked for
-// byte-identical results alongside the timing comparison.
+// simulated metrics are also emitted so before/after runs can be checked
+// for byte-identical results alongside the timing comparison.
 //
 // Doubles as the observability smoke vehicle: --epoch/--trace-out (or
 // MOCA_SIM_EPOCH/MOCA_SIM_TRACE) enable sampling, and --report FILE writes
@@ -12,7 +14,9 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/chrome_trace.h"
@@ -25,15 +29,20 @@ int main(int argc, char** argv) {
   sim::ParsedArgs args;
   try {
     args = sim::parse_args(argc, argv, 1,
-                           {{"app", true}, {"moca", false},
+                           {{"apps", true}, {"moca", false},
                             {"report", true}});
   } catch (const CheckError& e) {
     std::cerr << "error: " << e.what() << "\nusage: " << argv[0]
-              << " [--app NAME] [--moca] [--report FILE] [--epoch N]"
-                 " [--trace-out FILE] [--instr N]\n";
+              << " [--apps NAME[,NAME...]] [--moca] [--report FILE]"
+                 " [--epoch N] [--trace-out FILE] [--instr N]\n";
     return 2;
   }
-  const std::string app = args.get("app", "milc");
+  const std::string app = args.get("apps", "milc");
+  std::vector<std::string> apps;
+  std::istringstream list(app);
+  for (std::string name; std::getline(list, name, ',');) {
+    apps.push_back(name);
+  }
   const sim::SystemChoice choice = args.has("moca")
                                        ? sim::SystemChoice::kMoca
                                        : sim::SystemChoice::kHomogenDdr3;
@@ -45,11 +54,12 @@ int main(int argc, char** argv) {
 
   std::map<std::string, core::ClassifiedApp> db;
   if (choice == sim::SystemChoice::kMoca) {
-    db = sim::build_profile_db({app}, experiment);
+    db = sim::build_profile_db(apps, experiment);
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const sim::RunResult result = sim::run_single(app, choice, db, experiment);
+  const sim::RunResult result =
+      sim::run_workload(apps, choice, db, experiment);
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(t1 - t0).count();
   const double instr = static_cast<double>(result.total_instructions);
