@@ -1,8 +1,9 @@
 // Scheduler microbench: throughput and allocation behavior of EventQueue
 // under the traffic shapes the simulator generates — short-horizon fan-out
 // (cache/DRAM completions), self-rescheduling periodic events (refresh,
-// controller wake-ups) and far-future events (migration epochs) that live in
-// the overflow region.
+// controller wake-ups) and far-future events (migration epochs) mixed into
+// the near traffic. The fan-out batches keep 256 events pending, deeper than
+// the simulator's queue ever gets (docs/perf.md).
 //
 // The binary also counts global operator new calls so the allocation-free
 // claim of the hot path is measured, not assumed: `allocs_per_event` is
@@ -93,14 +94,9 @@ void BM_FanOutAllocs(benchmark::State& state) {
   EventQueue q;
   Rng rng(42);
   std::uint64_t sink = 0;
-  // Front-load slot-storage growth: random timestamp collisions follow a
-  // Poisson tail and each level-1 slot grows on its first window-crossing
-  // fill, so organic warm-up alone leaves a slow trickle of capacity-
-  // doubling allocations. 32 events/slot is ~30x the mean level-0 density
-  // of this shape, and a level-1 slot can buffer at most one batch (256);
-  // overflowing either during measurement is virtually impossible, so the
+  // The first batch grows the heap, the slab and the free list to a full
+  // batch of pending events; every later batch reuses that storage, so the
   // counter below reads strict steady state.
-  q.reserve_slot_capacity(32, kBatch);
   for (int warm = 0; warm < 256; ++warm) {
     fan_out_drain_batch(q, rng, &sink);
   }
@@ -148,7 +144,7 @@ void BM_SelfRescheduling(benchmark::State& state) {
 BENCHMARK(BM_SelfRescheduling);
 
 /// Mix of near events and far-future ones (multi-microsecond refresh
-/// horizons, millisecond migration epochs) that must take the overflow path.
+/// horizons, millisecond migration epochs) pending in the same heap.
 void BM_FarFutureMix(benchmark::State& state) {
   EventQueue q;
   Rng rng(7);

@@ -201,8 +201,7 @@ class MshrBook {
         return s.entry;
       }
     }
-    detail::check_failed("MshrBook::acquire", __FILE__, __LINE__,
-                         "no free slot");
+    throw CheckError("MshrBook::acquire: no free slot");
   }
 
   /// Removes the entry for `line`, returning it by value (moved out, so the
@@ -217,8 +216,7 @@ class MshrBook {
         return out;
       }
     }
-    detail::check_failed("MshrBook::take", __FILE__, __LINE__,
-                         "no entry for the line");
+    throw CheckError("MshrBook::take: no entry for the line");
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -37,32 +37,34 @@ class CancelledError : public CheckError {
 namespace detail {
 
 [[noreturn]] inline void check_failed(const char* expr, const char* file,
-                                      int line, const std::string& msg) {
+                                      int line) {
   std::ostringstream os;
   os << "CHECK failed: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
   throw CheckError(os.str());
 }
 
 }  // namespace detail
 }  // namespace moca
 
-/// Checks `cond`; on failure throws moca::CheckError with location info.
-#define MOCA_CHECK(cond)                                              \
-  do {                                                                \
-    if (!(cond)) {                                                    \
-      ::moca::detail::check_failed(#cond, __FILE__, __LINE__, "");    \
-    }                                                                 \
+/// Checks an internal invariant; on failure throws moca::CheckError naming
+/// the expression and its source location.
+#define MOCA_CHECK(cond)                                         \
+  do {                                                           \
+    if (!(cond)) {                                               \
+      ::moca::detail::check_failed(#cond, __FILE__, __LINE__);   \
+    }                                                            \
   } while (0)
 
-/// Like MOCA_CHECK but appends a streamed message, e.g.
-/// MOCA_CHECK_MSG(x > 0, "x=" << x).
-#define MOCA_CHECK_MSG(cond, stream_expr)                                  \
-  do {                                                                     \
-    if (!(cond)) {                                                         \
-      std::ostringstream moca_check_os_;                                   \
-      moca_check_os_ << stream_expr;                                       \
-      ::moca::detail::check_failed(#cond, __FILE__, __LINE__,              \
-                                   moca_check_os_.str());                  \
-    }                                                                      \
+/// Checks `cond`; on failure throws moca::CheckError carrying the streamed
+/// message alone, e.g. MOCA_CHECK_MSG(x > 0, "x must be positive, got " << x).
+/// The text names no source path or line, so a rejected input or a failed
+/// simulation reports the same bytes from any checkout, and an edit that
+/// moves the check does not change them.
+#define MOCA_CHECK_MSG(cond, stream_expr)                \
+  do {                                                   \
+    if (!(cond)) {                                       \
+      std::ostringstream moca_check_os_;                 \
+      moca_check_os_ << stream_expr;                     \
+      throw ::moca::CheckError(moca_check_os_.str());    \
+    }                                                    \
   } while (0)

@@ -152,7 +152,6 @@ class Core {
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
   [[nodiscard]] std::uint32_t id() const { return core_id_; }
   [[nodiscard]] os::ProcessId pid() const { return pid_; }
-  [[nodiscard]] Cycle current_cycle() const { return stats_.cycles; }
   /// Cycle at which the instruction budget was reached (== cycles while
   /// still running).
   [[nodiscard]] Cycle finish_cycle() const { return finish_cycle_; }
@@ -195,8 +194,8 @@ class Core {
   }
   /// Runs the wheel slot due this cycle; false when none was due.
   bool run_wheel();
-  /// Cycle (in current_cycle() terms) at which the completion wheel next
-  /// has a slot due; max() when it is empty.
+  /// Cycle (on the core's own step count, stats().cycles) at which the
+  /// completion wheel next has a slot due; max() when it is empty.
   [[nodiscard]] Cycle next_wheel_cycle() const;
   /// Repeats the counter effects of the last, idle step `n` times; the
   /// stall observer receives them as one call with count `n`.

@@ -6,7 +6,7 @@
 // std::unordered_map. Replacement and counter semantics are bit-identical to
 // the legacy implementations; tests/hotpath_equiv_test.cc keeps copies of
 // the old code and proves parity on randomized tapes the same way
-// event_queue_equiv_test.cc did for the timing wheel.
+// event_queue_equiv_test.cc does for the event queue.
 #pragma once
 
 #include <array>

@@ -386,19 +386,14 @@ void SweepSupervisor::load_journal(std::size_t job_count,
     if (extract_token(outcome, "label", token)) out.label = token;
     if (extract_token(outcome, "ok", token)) out.ok = token == "true";
     if (extract_token(outcome, "kind", token)) {
-      if (token == "failed") out.kind = SweepOutcome::FailureKind::kFailed;
-      else if (token == "timed_out")
-        out.kind = SweepOutcome::FailureKind::kTimedOut;
-      else if (token == "quarantined")
-        out.kind = SweepOutcome::FailureKind::kQuarantined;
-      else if (token == "crashed")
-        out.kind = SweepOutcome::FailureKind::kCrashed;
-      else if (token == "oom_killed")
-        out.kind = SweepOutcome::FailureKind::kOomKilled;
-      else if (token == "interrupted")
-        out.kind = SweepOutcome::FailureKind::kInterrupted;
-      else
-        out.kind = SweepOutcome::FailureKind::kNone;
+      // The journal holds to_string(kind); anything else reads as kNone.
+      using Kind = SweepOutcome::FailureKind;
+      out.kind = Kind::kNone;
+      for (auto k = static_cast<std::uint8_t>(Kind::kNone);
+           k <= static_cast<std::uint8_t>(Kind::kInterrupted); ++k) {
+        const auto kind = static_cast<Kind>(k);
+        if (token == to_string(kind)) out.kind = kind;
+      }
     }
     if (extract_token(outcome, "attempts", token)) {
       out.attempts = static_cast<std::uint32_t>(std::stoul(token));

@@ -51,7 +51,7 @@ struct SweepOutcome {
     kQuarantined,
     kCrashed,
     kOomKilled,
-    kInterrupted,
+    kInterrupted,  // last: journal resume decodes kinds up to this one
   };
 
   std::size_t job_id = 0;  // index into the submitted job list

@@ -52,12 +52,6 @@ System::System(const MemSystemConfig& memsys,
   MOCA_CHECK(!apps_.empty());
   MOCA_CHECK(!memsys_.modules.empty());
 
-  // Slot buffers rotate through the wheel via swap, so without a floor a
-  // cold tiny buffer keeps landing where a multi-event batch arrives and
-  // the run pays hundreds of thousands of small grow-reallocs (~2.5 MiB
-  // once here buys their elimination; capacity only, no behavior change).
-  events_.reserve_slot_capacity(/*level0_events=*/8, /*level1_events=*/8);
-
   if (!options_.faults.empty()) {
     injector_ = std::make_unique<FaultInjector>(
         options_.faults, options_.fault_seed, options_.fault_attempt,

@@ -1,6 +1,5 @@
 #include "trace/replay.h"
 
-#include <optional>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -13,45 +12,6 @@
 #include "trace/trace.h"
 
 namespace moca::trace {
-namespace {
-
-/// ReplayStream variant consulting a FaultInjector per record: a truncate
-/// clause makes the stream wrap early (as if the file ended at record k), a
-/// corrupt clause throws RetryableError when its record is read.
-class FaultedReplayStream final : public cpu::OpStream {
- public:
-  FaultedReplayStream(TraceReader& reader, FaultInjector& injector)
-      : reader_(reader), injector_(injector) {}
-
-  cpu::MicroOp next() override {
-    switch (injector_.trace_fault(index_)) {
-      case FaultInjector::TraceFault::kCorrupt:
-        throw RetryableError("fault injection: trace record " +
-                             std::to_string(index_) + " corrupted");
-      case FaultInjector::TraceFault::kTruncate:
-        reader_.rewind();
-        index_ = 0;
-        break;
-      case FaultInjector::TraceFault::kNone:
-        break;
-    }
-    cpu::MicroOp op;
-    if (!reader_.next(op)) {
-      reader_.rewind();
-      index_ = 0;
-      MOCA_CHECK(reader_.next(op));
-    }
-    ++index_;
-    return op;
-  }
-
- private:
-  TraceReader& reader_;
-  FaultInjector& injector_;
-  std::uint64_t index_ = 0;  // position of the next record within the file
-};
-
-}  // namespace
 
 ReplayResult replay_trace(const std::string& trace_path,
                           const sim::MemSystemConfig& memsys,
@@ -60,14 +20,7 @@ ReplayResult replay_trace(const std::string& trace_path,
   MOCA_CHECK(policy != nullptr);
   TraceReader reader(trace_path);
   MOCA_CHECK_MSG(reader.count() > 0, "empty trace: " << trace_path);
-  ReplayStream plain_stream(reader);
-  std::optional<FaultedReplayStream> faulted_stream;
-  if (options.injector != nullptr) {
-    faulted_stream.emplace(reader, *options.injector);
-  }
-  cpu::OpStream& stream =
-      faulted_stream ? static_cast<cpu::OpStream&>(*faulted_stream)
-                     : static_cast<cpu::OpStream&>(plain_stream);
+  ReplayStream stream(reader, options.injector);
 
   EventQueue events;
   std::vector<std::unique_ptr<dram::MemoryModule>> modules;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/fault_injection.h"
 
 namespace moca::trace {
 
@@ -118,13 +119,31 @@ void TraceReader::rewind() {
   read_ = 0;
 }
 
+void ReplayStream::wrap() {
+  reader_.rewind();
+  index_ = 0;
+  ++wraps_;
+}
+
 cpu::MicroOp ReplayStream::next() {
+  if (injector_ != nullptr) {
+    switch (injector_->trace_fault(index_)) {
+      case FaultInjector::TraceFault::kCorrupt:
+        throw RetryableError("fault injection: trace record " +
+                             std::to_string(index_) + " corrupted");
+      case FaultInjector::TraceFault::kTruncate:
+        wrap();
+        break;
+      case FaultInjector::TraceFault::kNone:
+        break;
+    }
+  }
   cpu::MicroOp op;
   if (!reader_.next(op)) {
-    ++wraps_;
-    reader_.rewind();
+    wrap();
     MOCA_CHECK_MSG(reader_.next(op), "replaying an empty trace");
   }
+  ++index_;
   return op;
 }
 

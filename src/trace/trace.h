@@ -18,6 +18,10 @@
 
 #include "cpu/microop.h"
 
+namespace moca {
+class FaultInjector;
+}  // namespace moca
+
 namespace moca::trace {
 
 inline constexpr char kMagic[8] = {'M', 'O', 'C', 'A', 'T', 'R', 'C', '1'};
@@ -73,34 +77,26 @@ class TraceReader {
   std::uint64_t read_ = 0;
 };
 
-/// OpStream adapter that records every op flowing through it.
-class RecordingStream final : public cpu::OpStream {
- public:
-  RecordingStream(cpu::OpStream& inner, TraceWriter& writer)
-      : inner_(inner), writer_(writer) {}
-  cpu::MicroOp next() override {
-    const cpu::MicroOp op = inner_.next();
-    writer_.append(op);
-    return op;
-  }
-
- private:
-  cpu::OpStream& inner_;
-  TraceWriter& writer_;
-};
-
 /// OpStream replaying a trace, wrapping around at the end (cores consume
 /// unbounded streams; the wrap seam only breaks a handful of dependency
-/// distances).
+/// distances). An armed `injector` is consulted before every record: a
+/// trace:truncate clause wraps early, as if the file ended at its record,
+/// and a trace:corrupt clause throws RetryableError when its record is read.
 class ReplayStream final : public cpu::OpStream {
  public:
-  explicit ReplayStream(TraceReader& reader) : reader_(reader) {}
+  explicit ReplayStream(TraceReader& reader,
+                        const FaultInjector* injector = nullptr)
+      : reader_(reader), injector_(injector) {}
   cpu::MicroOp next() override;
 
   [[nodiscard]] std::uint64_t wraps() const { return wraps_; }
 
  private:
+  void wrap();
+
   TraceReader& reader_;
+  const FaultInjector* injector_;
+  std::uint64_t index_ = 0;  // position of the next record within the file
   std::uint64_t wraps_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -557,6 +558,21 @@ TEST(Core, IdleSkipStopsAtTheCycleLimit) {
   EXPECT_EQ(sleeping.core->stats().cycles, limit);
   EXPECT_EQ(sleeping.core->stats(), naive.core->stats());
   EXPECT_GT(naive.core->stats().rob_head_stall_cycles, limit - 1000);
+}
+
+TEST(Core, CycleLimitErrorIsTheMessageAlone) {
+  // A deadlocked cell's outcome carries this text, so it must not name the
+  // source file or line of the check.
+  const std::vector<MicroOp> tape{load(os::kHeapPowBase, 0, /*object=*/5)};
+  Fixture f(tape);
+  f.mem_latency = cycle_to_ps(1'000'000'000);
+  std::string error = "no error";
+  try {
+    (void)run_cores({f.core.get()}, f.events, 0, /*limit=*/10'000);
+  } catch (const CheckError& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, "simulation exceeded cycle limit (deadlock?)");
 }
 
 TEST(Core, AluBehindRejectedLoadsIssuesInTheSameCycle) {

@@ -1,9 +1,10 @@
-// Differential test: the timing-wheel EventQueue must execute events in
-// exactly the order of the binary-heap scheduler it replaced (PR 2). The
-// legacy implementation is embedded verbatim below as the reference; both
-// queues are driven with identical schedules — including re-entrant,
-// equal-time, partial-slot and far-future (overflow) cases — and the
-// observed (id, timestamp) execution logs must match element for element.
+// Differential test: EventQueue (a key heap over a callback slab) must
+// execute events in exactly the order of the original std::priority_queue
+// scheduler. That implementation is embedded verbatim below as the
+// reference; both queues are driven with identical schedules — including
+// re-entrant, equal-time, run_until bounds between equal-time events, and
+// far-future cases — and the observed (id, timestamp) execution logs must
+// match element for element.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +21,7 @@
 namespace moca {
 namespace {
 
-/// The pre-PR-2 scheduler: min-heap of (time, seq, std::function) with FIFO
+/// The original scheduler: min-heap of (time, seq, std::function) with FIFO
 /// tie-breaking. Kept here as the behavioral reference.
 class LegacyEventQueue {
  public:
@@ -75,9 +76,10 @@ struct LogEntry {
 /// Drives `q` with a deterministic pseudo-random workload (seeded by `seed`)
 /// and returns the execution log. Shapes covered: bursts of short-horizon
 /// events with heavy timestamp collisions, re-entrant scheduling from
-/// callbacks (including at the current timestamp), occasional far-future
-/// events that cross the wheel's level-1/overflow boundaries, and run_until
-/// bounds that split slots mid-way.
+/// callbacks (including at the current timestamp), occasional mid- and
+/// far-future events (microseconds to milliseconds ahead, like refresh and
+/// epochs) pending under the near traffic, and run_until bounds that land
+/// between or exactly on pending timestamps.
 template <typename Queue>
 std::vector<LogEntry> drive(std::uint64_t seed) {
   Queue q;
@@ -110,15 +112,15 @@ std::vector<LogEntry> drive(std::uint64_t seed) {
         case 0:  // collision-heavy: few distinct timestamps per burst
           when = base + 256 * static_cast<TimePs>(rng.next_below(4));
           break;
-        case 1:  // far future: beyond the level-1 horizon (overflow path)
+        case 1:  // far future: ~2 ms ahead
           when = base + 2'000'000'000 +
                  static_cast<TimePs>(rng.next_below(100'000));
           break;
-        case 2:  // mid future: level-1 territory
+        case 2:  // mid future: 2-52 us ahead
           when = base + 2'000'000 +
                  static_cast<TimePs>(rng.next_below(50'000'000));
           break;
-        default:  // near future: level-0 territory
+        default:  // near future: within 70 ns
           when = base + static_cast<TimePs>(rng.next_below(70'000));
           break;
       }
@@ -128,8 +130,8 @@ std::vector<LogEntry> drive(std::uint64_t seed) {
         record_and_maybe_reschedule(record_and_maybe_reschedule, id, chain);
       });
     }
-    // Advance by an odd amount so run_until bounds split wheel slots and
-    // occasionally land exactly on an event's timestamp.
+    // Advance by an odd amount so run_until bounds fall between pending
+    // events and occasionally land exactly on an event's timestamp.
     horizon += 1 + static_cast<TimePs>(rng.next_below(40'000'000));
     q.run_until(horizon);
   }
@@ -146,13 +148,13 @@ std::vector<LogEntry> drive(std::uint64_t seed) {
 TEST(EventQueueEquivalence, MatchesLegacyHeapAcrossRandomWorkloads) {
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL, 987654321ULL}) {
     const std::vector<LogEntry> legacy = drive<LegacyEventQueue>(seed);
-    const std::vector<LogEntry> wheel = drive<EventQueue>(seed);
+    const std::vector<LogEntry> queue = drive<EventQueue>(seed);
     ASSERT_FALSE(legacy.empty());
-    ASSERT_EQ(legacy.size(), wheel.size()) << "seed " << seed;
+    ASSERT_EQ(legacy.size(), queue.size()) << "seed " << seed;
     for (std::size_t i = 0; i < legacy.size(); ++i) {
-      ASSERT_EQ(legacy[i].id, wheel[i].id)
+      ASSERT_EQ(legacy[i].id, queue[i].id)
           << "seed " << seed << " divergence at event " << i;
-      ASSERT_EQ(legacy[i].at, wheel[i].at)
+      ASSERT_EQ(legacy[i].at, queue[i].at)
           << "seed " << seed << " divergence at event " << i;
     }
   }
@@ -160,23 +162,23 @@ TEST(EventQueueEquivalence, MatchesLegacyHeapAcrossRandomWorkloads) {
 
 TEST(EventQueueEquivalence, NextTimeAgreesWhileDraining) {
   LegacyEventQueue legacy;
-  EventQueue wheel;
+  EventQueue queue;
   Rng rng(99);
   TimePs base = 0;
   for (int i = 0; i < 500; ++i) {
     const TimePs when = base + static_cast<TimePs>(rng.next_below(3'000'000));
     legacy.schedule(when, [] {});
-    wheel.schedule(when, [] {});
+    queue.schedule(when, [] {});
   }
   while (!legacy.empty()) {
-    ASSERT_FALSE(wheel.empty());
-    ASSERT_EQ(legacy.next_time(), wheel.next_time());
+    ASSERT_FALSE(queue.empty());
+    ASSERT_EQ(legacy.next_time(), queue.next_time());
     const TimePs step = legacy.next_time();
     legacy.run_until(step);
-    wheel.run_until(step);
-    ASSERT_EQ(legacy.now(), wheel.now());
+    queue.run_until(step);
+    ASSERT_EQ(legacy.now(), queue.now());
   }
-  EXPECT_TRUE(wheel.empty());
+  EXPECT_TRUE(queue.empty());
 }
 
 /// The scheduler hot path must not allocate: an inline-sized callback

@@ -4,7 +4,7 @@
 // implementations they replaced — same hit/miss counters, same PFNs, same
 // LRU victims, same object ids, same CheckError behavior — on randomized
 // operation tapes (tests/proptest.h), the same way event_queue_equiv_test.cc
-// proved the timing wheel against the binary-heap scheduler. The legacy
+// checks the event queue against the original scheduler. The legacy
 // implementations are embedded verbatim below as the reference.
 #include <gtest/gtest.h>
 

@@ -312,27 +312,30 @@ void expect_rejected_both_ways(const std::string& flag, const char* env,
       << "--" << flag << " '" << value << "'";
 }
 
+/// The CheckError text `apply` throws, or "accepted" when it throws none.
+template <typename F>
+std::string error_text(const F& apply) {
+  try {
+    apply();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
 /// Like expect_rejected_both_ways, and each error names the spelling that
 /// carried the value.
 void expect_named_rejection_both_ways(const std::string& flag, const char* env,
                                       const std::string& value) {
-  const auto message = [](const auto& apply) {
-    try {
-      apply();
-    } catch (const CheckError& e) {
-      return std::string(e.what());
-    }
-    return std::string("accepted");
-  };
   clear_sim_env();
   setenv(env, value.c_str(), 1);
-  EXPECT_NE(message([] { (void)ExperimentOptions::from_env(); })
+  EXPECT_NE(error_text([] { (void)ExperimentOptions::from_env(); })
                 .find(std::string(env) + " must"),
             std::string::npos)
       << env << "='" << value << "'";
   clear_sim_env();
   ExperimentOptions o = ExperimentOptions::from_env();
-  EXPECT_NE(message([&] { o.apply_flags(parse_vec({"--" + flag, value})); })
+  EXPECT_NE(error_text([&] { o.apply_flags(parse_vec({"--" + flag, value})); })
                 .find("flag --" + flag + " must"),
             std::string::npos)
       << "--" << flag << " '" << value << "'";
@@ -373,6 +376,20 @@ TEST(ExperimentOptionsTest, EnvAndFlagRejectTheSameValues) {
     expect_named_rejection_both_ways("config", "MOCA_SIM_CONFIG", value);
   }
   clear_sim_env();
+}
+
+TEST(ExperimentOptionsTest, RejectionIsTheMessageAlone) {
+  // The error a user (or a sweep outcome) sees is the message itself, with
+  // no check expression or source path, so it reads the same from any
+  // checkout.
+  clear_sim_env();
+  setenv("MOCA_SIM_CONFIG", "7", 1);
+  EXPECT_EQ(error_text([] { (void)ExperimentOptions::from_env(); }),
+            "MOCA_SIM_CONFIG must be 1, 2 or 3, got '7'");
+  clear_sim_env();
+  ExperimentOptions o = ExperimentOptions::from_env();
+  EXPECT_EQ(error_text([&] { o.apply_flags(parse_vec({"--config", "7"})); }),
+            "flag --config must be 1, 2 or 3, got '7'");
 }
 
 TEST(ExperimentOptionsTest, BudgetsUpToTheCycleLimitBoundAreAccepted) {
