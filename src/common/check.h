@@ -47,7 +47,8 @@ namespace detail {
 }  // namespace moca
 
 /// Checks an internal invariant; on failure throws moca::CheckError naming
-/// the expression and its source location.
+/// the expression and its source location. The top-level build maps the
+/// checkout prefix out of __FILE__, so the path is repository-relative.
 #define MOCA_CHECK(cond)                                         \
   do {                                                           \
     if (!(cond)) {                                               \

@@ -58,12 +58,6 @@ void check_cycle_limit(const Experiment& e, const Value& v) {
                        << v.text << "'");
 }
 
-/// Supervision knobs route sweeps through SweepSupervisor.
-SupervisorOptions& supervise(ExperimentOptions& o) {
-  o.supervised = true;
-  return o.supervisor;
-}
-
 /// One row per knob (see the header table). Both spellings of a knob go
 /// through the same `apply`, so they accept exactly the same values; a
 /// bare flag's environment variable only has to be set, to any value.
@@ -120,31 +114,31 @@ constexpr Knob kKnobs[] = {
      }},
     {"timeout-ms", true, "MOCA_SIM_TIMEOUT_MS",
      [](ExperimentOptions& o, const Value& v) {
-       supervise(o).timeout_ms = static_cast<double>(v.number());
+       o.supervisor.timeout_ms = static_cast<double>(v.number());
      }},
     {"retries", true, "MOCA_SIM_RETRIES",
      [](ExperimentOptions& o, const Value& v) {
-       supervise(o).max_attempts = static_cast<std::uint32_t>(v.positive());
+       o.supervisor.max_attempts = static_cast<std::uint32_t>(v.positive());
      }},
     {"journal", true, nullptr,
      [](ExperimentOptions& o, const Value& v) {
-       supervise(o).journal_path = v.path();
+       o.supervisor.journal_path = v.path();
      }},
     {"resume", true, nullptr,  // after --journal, so --resume F wins
      [](ExperimentOptions& o, const Value& v) {
-       supervise(o).journal_path = v.path();
+       o.supervisor.journal_path = v.path();
        o.supervisor.resume = true;
      }},
     {"isolate", false, "MOCA_SIM_ISOLATE",
-     [](ExperimentOptions& o, const Value&) { supervise(o).isolate = true; }},
+     [](ExperimentOptions& o, const Value&) { o.supervisor.isolate = true; }},
     {"rlimit-as-mb", true, "MOCA_SIM_RLIMIT_AS_MB",
      [](ExperimentOptions& o, const Value& v) {
-       supervise(o).rlimit_as_bytes = v.positive() << 20;
+       o.supervisor.rlimit_as_bytes = v.positive() << 20;
        o.supervisor.isolate = true;  // caps imply isolation
      }},
     {"rlimit-cpu-s", true, "MOCA_SIM_RLIMIT_CPU_S",
      [](ExperimentOptions& o, const Value& v) {
-       supervise(o).rlimit_cpu_seconds = v.positive();
+       o.supervisor.rlimit_cpu_seconds = v.positive();
        o.supervisor.isolate = true;
      }},
     {"audit", false, "MOCA_SIM_AUDIT",

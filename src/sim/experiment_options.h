@@ -18,13 +18,14 @@
 //   --jobs N        MOCA_SIM_JOBS      sweep worker-pool size, positive
 //                                      (unset = all hardware threads)
 //   --log           MOCA_SWEEP_LOG     per-job progress lines on stderr
+//                                      (every sweep)
 //   --fault-plan P  MOCA_SIM_FAULTS    deterministic fault plan
 //                                      (docs/robustness.md grammar)
-//   --timeout-ms N  MOCA_SIM_TIMEOUT_MS  per-job wall-clock budget
-//                                      (supervised sweeps; 0 = none)
-//   --retries N     MOCA_SIM_RETRIES   attempts per job for retryable
+//   --timeout-ms N  MOCA_SIM_TIMEOUT_MS  per-attempt wall-clock budget
+//                                      (0 = none, the default)
+//   --retries N     MOCA_SIM_RETRIES   attempts per cell for retryable
 //                                      faults (default 3)
-//   --journal F     (flag only)        supervised-sweep resume journal
+//   --journal F     (flag only)        sweep resume journal
 //   --resume F      (flag only)        resume from journal F (implies
 //                                      --journal F)
 //   --isolate       MOCA_SIM_ISOLATE   run each sweep cell in a forked
@@ -102,11 +103,12 @@ struct ExperimentOptions {
   /// rather than the default — benches use this to keep their own larger
   /// default window when nothing was requested.
   bool instructions_overridden = false;
-  /// Supervised-sweep settings (--timeout-ms/--retries/--journal/--resume).
+  /// Options of the cell ladder every `compare`/`sweep` runs
+  /// (--timeout-ms/--retries/--journal/--resume/--isolate/--rlimit-*);
+  /// with none of them set it runs at the SupervisorOptions defaults.
+  /// SweepRunner::run, and so every figure harness, ignores them and
+  /// always runs the ladder at those defaults.
   SupervisorOptions supervisor;
-  /// True when any supervision knob was given explicitly; entry points use
-  /// this to route sweeps through SweepSupervisor instead of SweepRunner.
-  bool supervised = false;
 
   /// Defaults overlaid with every MOCA_SIM_* / MOCA_SWEEP_LOG variable.
   [[nodiscard]] static ExperimentOptions from_env();

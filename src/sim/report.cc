@@ -118,7 +118,7 @@ void write_run_result(JsonWriter& w, const RunResult& r) {
   w.end_object();
 }
 
-void write_outcome(JsonWriter& w, const SweepOutcome& o, bool host_stats) {
+void write_outcome(JsonWriter& w, const SweepOutcome& o) {
   w.begin_object();
   w.key("job_id").value(static_cast<std::uint64_t>(o.job_id));
   if (!o.label.empty()) w.key("label").value(o.label);
@@ -132,10 +132,6 @@ void write_outcome(JsonWriter& w, const SweepOutcome& o, bool host_stats) {
     w.key("signal").value(static_cast<std::int64_t>(o.crash_signal));
     w.key("phase").value(o.crash_phase);
     w.end_object();
-  }
-  if (host_stats) {
-    w.key("wall_ms").value(o.wall_ms);
-    w.key("sim_instr_per_sec").value(o.sim_instr_per_sec);
   }
   if (o.ok) {
     w.key("result");
@@ -154,25 +150,9 @@ std::string to_json(const RunResult& r) {
   return w.str();
 }
 
-std::string to_json(const SweepOutcome& outcome) {
-  JsonWriter w;
-  write_outcome(w, outcome, /*host_stats=*/true);
-  return w.str();
-}
-
-std::string to_json(const std::vector<SweepOutcome>& outcomes) {
-  JsonWriter w;
-  w.begin_array();
-  for (const SweepOutcome& o : outcomes) {
-    write_outcome(w, o, /*host_stats=*/true);
-  }
-  w.end_array();
-  return w.str();
-}
-
 std::string to_deterministic_json(const SweepOutcome& outcome) {
   JsonWriter w;
-  write_outcome(w, outcome, /*host_stats=*/false);
+  write_outcome(w, outcome);
   return w.str();
 }
 

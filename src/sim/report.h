@@ -1,4 +1,8 @@
-// Machine-readable reports of simulation results.
+// Machine-readable reports of simulation results, in two shapes: one
+// run's RunResult object (`moca_cli run` / `run-file --json`), and the sweep
+// envelope that wraps one deterministic outcome object per cell (every
+// `compare` / `sweep --json`, the supervisor's journal and merged report).
+// Neither carries host timing; that lives only in the sweep's --log lines.
 #pragma once
 
 #include <cstdint>
@@ -34,24 +38,16 @@ inline constexpr std::uint64_t kReportSchemaVersion = 4;
 /// entry points write them to a separate Chrome-trace file.
 [[nodiscard]] std::string to_json(const RunResult& result);
 
-/// Serializes one sweep job outcome: job id, label, error state and
-/// host-side observability (wall-clock ms, simulated instructions/sec)
-/// wrapping the simulated RunResult.
-[[nodiscard]] std::string to_json(const SweepOutcome& outcome);
-
-/// Serializes a whole sweep in submission order.
-[[nodiscard]] std::string to_json(const std::vector<SweepOutcome>& outcomes);
-
-/// Deterministic serialization of one outcome: same shape as to_json minus
-/// the host-side wall_ms / sim_instr_per_sec fields, so the bytes depend
-/// only on simulated state. The supervisor's journal entries and merged
-/// report use this form (a resumed sweep must merge byte-identically with
-/// an uninterrupted one).
+/// Serializes one sweep outcome: job id, label, failure kind, attempts
+/// and the crash fingerprint, wrapping the simulated RunResult (or the
+/// error text). The bytes depend only on simulated state, never on host
+/// timing, so a resumed sweep merges byte-identically with an uninterrupted
+/// one; the journal entries and the sweep report are built from it.
 [[nodiscard]] std::string to_deterministic_json(const SweepOutcome& outcome);
 
-/// Assembles the supervisor's sweep report envelope,
-/// {"schema_version":N[,"interrupted":true],"outcomes":[...]}, from
-/// already-serialized outcome objects (freshly produced by
+/// Assembles the sweep report envelope every `compare`/`sweep --json`
+/// prints, {"schema_version":N[,"interrupted":true],"outcomes":[...]},
+/// from already-serialized outcome objects (freshly produced by
 /// to_deterministic_json or spliced verbatim from a resume journal).
 /// `interrupted` marks a partial report flushed by a signal handler.
 [[nodiscard]] std::string sweep_report_json(

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "moca/policies.h"
+#include "sim/sweep.h"
 
 namespace moca::sim {
 
@@ -64,14 +65,8 @@ core::ClassifiedApp classify_for_runtime(const core::AppProfile& profile,
 
 std::map<std::string, core::ClassifiedApp> build_profile_db(
     const std::vector<std::string>& names, const Experiment& experiment) {
-  std::map<std::string, core::ClassifiedApp> db;
-  for (const std::string& name : names) {
-    if (db.contains(name)) continue;
-    const core::AppProfile profile =
-        profile_app(workload::app_by_name(name), experiment);
-    db.emplace(name, classify_for_runtime(profile, experiment));
-  }
-  return db;
+  SweepRunner sequential(1);
+  return build_profile_db(names, experiment, sequential);
 }
 
 std::unique_ptr<os::AllocationPolicy> make_policy(SystemChoice choice) {

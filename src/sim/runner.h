@@ -88,7 +88,8 @@ struct Experiment {
 [[nodiscard]] core::ClassifiedApp classify_for_runtime(
     const core::AppProfile& profile, const Experiment& experiment);
 
-/// Profiles and classifies every app in `names` (dedup-safe).
+/// Profiles and classifies every app in `names` (dedup-safe): the
+/// build_profile_db of sweep.h on a one-worker SweepRunner.
 [[nodiscard]] std::map<std::string, core::ClassifiedApp> build_profile_db(
     const std::vector<std::string>& names, const Experiment& experiment);
 

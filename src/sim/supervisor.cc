@@ -5,17 +5,22 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <optional>
+#include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/table.h"
 #include "sim/isolation.h"
 #include "sim/report.h"
 #include "sim/runner.h"
@@ -75,6 +80,75 @@ bool extract_token(const std::string& json, const std::string& key,
   }
   out = json.substr(begin, end - begin);
   return true;
+}
+
+/// A decimal number that fills `text` and fits T; nullopt otherwise (no
+/// digits, a sign, trailing bytes, or overflow).
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// One journal line, parsed: the cell's outcome JSON verbatim plus the
+/// summary fields callers inspect in Result::outcomes (job_id is the cell).
+struct JournalEntry {
+  std::string fingerprint;
+  std::string outcome;
+  SweepOutcome summary;
+};
+
+/// Parses {prefix}<fp>","cell":N,"outcome":{...}}. nullopt when the frame
+/// or a number in it is malformed: a torn tail, or a journal not to trust.
+std::optional<JournalEntry> parse_journal_line(std::string_view line) {
+  const std::string prefix = journal_prefix();
+  constexpr std::string_view kCellKey = "\",\"cell\":";
+  constexpr std::string_view kOutcomeKey = ",\"outcome\":";
+  if (!line.starts_with(prefix)) return std::nullopt;
+  line.remove_prefix(prefix.size());
+  const std::size_t fp_end = line.find('"');
+  if (fp_end == std::string_view::npos ||
+      !line.substr(fp_end).starts_with(kCellKey)) {
+    return std::nullopt;
+  }
+  JournalEntry entry;
+  entry.fingerprint = line.substr(0, fp_end);
+  line.remove_prefix(fp_end + kCellKey.size());
+  const std::size_t outcome_at = line.find(kOutcomeKey);
+  if (outcome_at == std::string_view::npos) return std::nullopt;
+  const auto cell = parse_number<std::size_t>(line.substr(0, outcome_at));
+  line.remove_prefix(outcome_at + kOutcomeKey.size());
+  if (!cell || !line.starts_with('{') || !line.ends_with("}}")) {
+    return std::nullopt;
+  }
+  entry.outcome = line.substr(0, line.size() - 1);
+
+  SweepOutcome& out = entry.summary;
+  out.job_id = *cell;
+  out.resumed = true;
+  std::string token;
+  if (extract_token(entry.outcome, "label", token)) out.label = token;
+  if (extract_token(entry.outcome, "ok", token)) out.ok = token == "true";
+  if (extract_token(entry.outcome, "kind", token)) {
+    // The journal holds to_string(kind); anything else reads as kNone.
+    using Kind = SweepOutcome::FailureKind;
+    for (auto k = static_cast<std::uint8_t>(Kind::kNone);
+         k <= static_cast<std::uint8_t>(Kind::kInterrupted); ++k) {
+      const auto kind = static_cast<Kind>(k);
+      if (token == to_string(kind)) out.kind = kind;
+    }
+  }
+  if (extract_token(entry.outcome, "attempts", token)) {
+    const auto attempts = parse_number<std::uint32_t>(token);
+    if (!attempts) return std::nullopt;
+    out.attempts = *attempts;
+  }
+  return entry;
 }
 
 bool interrupted(const std::atomic<bool>* flag) {
@@ -243,7 +317,77 @@ Attempt attempt_isolated(const SupervisorOptions& options, std::size_t cell,
   return attempt;
 }
 
+/// The cell's --log line: id, label, wall-clock ms and simulated
+/// instructions/sec, or the error. Written and flushed on the worker that
+/// ran the cell; the lock keeps lines whole when workers share a stream.
+void log_cell(std::ostream& log, std::size_t cell, std::size_t cells,
+              const SweepJob& job, const SweepOutcome& out, double wall_ms) {
+  std::ostringstream line;
+  line << "[sweep] job " << cell << '/' << cells;
+  if (!job.label.empty()) line << ' ' << job.label;
+  if (job.label != to_string(job.choice)) line << ' ' << to_string(job.choice);
+  if (out.ok) {
+    const double instr_per_sec =
+        wall_ms > 0.0 ? static_cast<double>(out.result.total_instructions) /
+                            (wall_ms * 1e-3)
+                      : 0.0;
+    line << ": " << format_fixed(wall_ms, 1) << " ms, "
+         << format_fixed(instr_per_sec * 1e-6, 2) << "M instr/s\n";
+  } else {
+    line << ": ERROR " << out.error << '\n';
+  }
+  static std::mutex mutex;
+  std::lock_guard lock(mutex);
+  log << line.str() << std::flush;
+}
+
+/// The retry ladder every sweep cell runs, in either mode, and the one
+/// place that times a cell and logs it. Attempt::json holds an isolated
+/// child's verbatim serialization for ok cells (empty otherwise: the
+/// caller serializes the outcome itself, if at all).
+Attempt supervise_cell(const SupervisorOptions& options, std::ostream* log,
+                       std::size_t cell, const std::vector<SweepJob>& jobs,
+                       const ProfileDb& db) {
+  const SweepJob& job = jobs[cell];
+  const double start = now_ms();
+  Attempt attempt;
+  std::uint32_t ordinal = 0;
+  for (;; ++ordinal) {
+    if (interrupted(options.interrupt)) {
+      attempt = Attempt{};
+      attempt.out.kind = SweepOutcome::FailureKind::kInterrupted;
+      attempt.out.error = "sweep interrupted";
+    } else if (options.isolate) {
+      attempt = attempt_isolated(options, cell, ordinal, job, db);
+    } else {
+      attempt = attempt_in_process(options, cell, ordinal, job, db);
+    }
+    // A retryable kind that outlives the budget is final as it stands.
+    if (!attempt.retryable || ordinal + 1 >= options.max_attempts) break;
+  }
+  SweepOutcome& out = attempt.out;
+  out.job_id = cell;
+  out.label = job.label;
+  out.attempts = ordinal + 1;
+  if (log != nullptr) {
+    log_cell(*log, cell, jobs.size(), job, out, now_ms() - start);
+  }
+  return attempt;
+}
+
 }  // namespace
+
+std::vector<SweepOutcome> SweepRunner::run(
+    const std::vector<SweepJob>& jobs,
+    const std::map<std::string, core::ClassifiedApp>& db) {
+  const SupervisorOptions defaults;
+  std::vector<SweepOutcome> outcomes(jobs.size());
+  for_each_index(jobs.size(), [&](std::size_t cell) {
+    outcomes[cell] =
+        std::move(supervise_cell(defaults, log_, cell, jobs, db).out);
+  });
+  return outcomes;
+}
 
 std::string sweep_fingerprint(const std::vector<SweepJob>& jobs) {
   // Serialize everything that determines a cell's simulated result into a
@@ -288,7 +432,6 @@ SweepSupervisor::SweepSupervisor(SweepRunner& runner,
     : runner_(runner), options_(std::move(options)) {
   MOCA_CHECK_MSG(!options_.resume || !options_.journal_path.empty(),
                  "supervisor: resume requires a journal path");
-  if (options_.max_attempts == 0) options_.max_attempts = 1;
   // Isolated cells: the CPU rlimit defaults to a generous multiple of the
   // wall deadline as a backstop against a child that wedges while burning
   // CPU faster than wall time (the parent's wall SIGKILL normally fires
@@ -313,50 +456,10 @@ void SweepSupervisor::load_journal(std::size_t job_count,
   while (std::getline(in, line)) {
     if (!line.empty()) lines.push_back(line);
   }
-  const std::string prefix = journal_prefix();
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& entry = lines[i];
-    const bool last = i + 1 == lines.size();
-    // Frame check; a torn final line (crash mid-append) is expected and
-    // skipped, anything else means the journal is not ours to trust.
-    std::string fp;
-    std::size_t cell = job_count;
-    std::string outcome;
-    bool well_formed = entry.compare(0, prefix.size(), prefix) == 0;
-    if (well_formed) {
-      const std::size_t fp_end = entry.find('"', prefix.size());
-      well_formed = fp_end != std::string::npos;
-      if (well_formed) {
-        fp = entry.substr(prefix.size(), fp_end - prefix.size());
-        const std::string cell_key = "\",\"cell\":";
-        well_formed = entry.compare(fp_end, cell_key.size(), cell_key) == 0;
-        if (well_formed) {
-          std::size_t pos = fp_end + cell_key.size();
-          std::size_t digits = 0;
-          cell = 0;
-          while (pos < entry.size() && entry[pos] >= '0' &&
-                 entry[pos] <= '9') {
-            cell = cell * 10 + static_cast<std::size_t>(entry[pos] - '0');
-            ++pos;
-            ++digits;
-          }
-          const std::string outcome_key = ",\"outcome\":";
-          well_formed =
-              digits > 0 &&
-              entry.compare(pos, outcome_key.size(), outcome_key) == 0 &&
-              entry.back() == '}' && entry.size() > pos + outcome_key.size();
-          if (well_formed) {
-            outcome = entry.substr(pos + outcome_key.size(),
-                                   entry.size() - pos - outcome_key.size() -
-                                       1);
-            well_formed = !outcome.empty() && outcome.front() == '{' &&
-                          outcome.back() == '}';
-          }
-        }
-      }
-    }
-    if (!well_formed) {
-      if (last) {
+    std::optional<JournalEntry> entry = parse_journal_line(lines[i]);
+    if (!entry) {
+      if (i + 1 == lines.size()) {
         // Torn tail from the crash (the append was cut mid-write); count
         // it so callers can report the recovery, and re-run that cell.
         ++torn;
@@ -366,72 +469,22 @@ void SweepSupervisor::load_journal(std::size_t job_count,
                                 << (i + 1) << " in '"
                                 << options_.journal_path << "'");
     }
-    MOCA_CHECK_MSG(fp == fingerprint_,
+    MOCA_CHECK_MSG(entry->fingerprint == fingerprint_,
                    "supervisor: journal '"
                        << options_.journal_path
                        << "' was written by a different sweep (fingerprint "
-                       << fp << ", expected " << fingerprint_ << ")");
+                       << entry->fingerprint << ", expected " << fingerprint_
+                       << ")");
+    const std::size_t cell = entry->summary.job_id;
     MOCA_CHECK_MSG(cell < job_count, "supervisor: journal cell "
                                          << cell << " out of range (sweep has "
                                          << job_count << " cells)");
     if (cached[cell].empty()) ++resumed;
-    cached[cell] = outcome;
-
+    cached[cell] = std::move(entry->outcome);
     // Summary-only outcome for callers that inspect Result::outcomes; the
     // full payload stays in the cached JSON.
-    SweepOutcome& out = outcomes[cell];
-    out.job_id = cell;
-    out.resumed = true;
-    std::string token;
-    if (extract_token(outcome, "label", token)) out.label = token;
-    if (extract_token(outcome, "ok", token)) out.ok = token == "true";
-    if (extract_token(outcome, "kind", token)) {
-      // The journal holds to_string(kind); anything else reads as kNone.
-      using Kind = SweepOutcome::FailureKind;
-      out.kind = Kind::kNone;
-      for (auto k = static_cast<std::uint8_t>(Kind::kNone);
-           k <= static_cast<std::uint8_t>(Kind::kInterrupted); ++k) {
-        const auto kind = static_cast<Kind>(k);
-        if (token == to_string(kind)) out.kind = kind;
-      }
-    }
-    if (extract_token(outcome, "attempts", token)) {
-      out.attempts = static_cast<std::uint32_t>(std::stoul(token));
-    }
+    outcomes[cell] = std::move(entry->summary);
   }
-}
-
-SweepOutcome SweepSupervisor::supervise_cell(
-    std::size_t cell, const SweepJob& job, const ProfileDb& db,
-    std::string& outcome_json) const {
-  const double start = now_ms();
-  Attempt attempt;
-  std::uint32_t ordinal = 0;
-  for (;; ++ordinal) {
-    if (interrupted(options_.interrupt)) {
-      attempt = Attempt{};
-      attempt.out.kind = SweepOutcome::FailureKind::kInterrupted;
-      attempt.out.error = "sweep interrupted";
-    } else if (options_.isolate) {
-      attempt = attempt_isolated(options_, cell, ordinal, job, db);
-    } else {
-      attempt = attempt_in_process(options_, cell, ordinal, job, db);
-    }
-    // A retryable kind that outlives the budget is final as it stands.
-    if (!attempt.retryable || ordinal + 1 >= options_.max_attempts) break;
-  }
-  SweepOutcome& out = attempt.out;
-  out.job_id = cell;
-  out.label = job.label;
-  out.attempts = ordinal + 1;
-  out.wall_ms = now_ms() - start;
-  if (out.ok && out.wall_ms > 0.0) {
-    out.sim_instr_per_sec =
-        static_cast<double>(out.result.total_instructions) /
-        (out.wall_ms * 1e-3);
-  }
-  outcome_json = std::move(attempt.json);
-  return std::move(out);
 }
 
 SweepSupervisor::Result SweepSupervisor::run(
@@ -471,9 +524,10 @@ SweepSupervisor::Result SweepSupervisor::run(
 
   runner_.for_each_index(pending.size(), [&](std::size_t slot) {
     const std::size_t cell = pending[slot];
-    std::string json;
-    SweepOutcome out = supervise_cell(cell, jobs[cell], db, json);
-    if (json.empty()) json = to_deterministic_json(out);
+    Attempt attempt = supervise_cell(options_, runner_.log(), cell, jobs, db);
+    SweepOutcome& out = attempt.out;
+    std::string json = attempt.json.empty() ? to_deterministic_json(out)
+                                            : std::move(attempt.json);
     // Interrupted cells are never journaled: they produced no result, and
     // resume must re-run them for the merged report to reach the
     // uninterrupted run's bytes.
@@ -499,7 +553,7 @@ SweepSupervisor::Result SweepSupervisor::run(
       }
       ::fsync(journal_fd);
     }
-    cached[cell] = json;                    // distinct cells, no race
+    cached[cell] = std::move(json);  // distinct cells, no race
     result.outcomes[cell] = std::move(out);
   });
 

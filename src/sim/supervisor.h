@@ -1,11 +1,12 @@
-// Supervised sweeps: wall-clock timeouts, bounded immediate retry,
-// quarantine and crash-safe resume on top of SweepRunner.
+// The per-cell retry ladder every sweep cell runs, plus supervised sweeps:
+// a crash-safe journal and a merged, deterministic report on top of it.
 //
-// The plain SweepRunner runs every cell exactly once and captures failures
-// as text; for the paper-scale sweeps behind Figs. 8-15 that is not enough:
-// a wedged cell stalls the whole sweep, a transient fault kills a cell that
-// a retry would have saved, and a killed process loses every finished
-// cell. The supervisor adds, per cell:
+// SweepRunner::run drives the ladder at the default SupervisorOptions (3
+// attempts, no deadline, no journal, in-process); SweepSupervisor::run
+// drives it at any options and adds the journal and the report envelope.
+// `moca_cli compare` and `sweep` always go through SweepSupervisor; their
+// knobs (--timeout-ms, --retries, --journal, --resume, --isolate) only
+// change its options. Per cell, the ladder provides:
 //
 //   timeout     each attempt runs under a wall-clock deadline carried in a
 //               RunContext; System::run checks it at its 4096-cycle poll
@@ -17,12 +18,6 @@
 //               Experiment::fault_attempt so `attempts=k` fault clauses
 //               model genuinely transient faults. A cell whose retries
 //               are exhausted is quarantined, not retried forever.
-//   journal     every finished cell appends one line to an append-only
-//               journal and fsyncs before the cell counts as durable; a
-//               killed sweep restarted with resume=true re-runs only the
-//               cells missing from the journal and splices the finished
-//               ones back in, byte-identical to an uninterrupted run. A
-//               torn final line (kill mid-append) is tolerated and counted.
 //   isolation   with isolate=true each cell runs in a forked child under
 //               RLIMIT_AS/RLIMIT_CPU caps (src/sim/isolation.h); the
 //               child runs the same attempt step with no stop conditions,
@@ -37,6 +32,19 @@
 //               unfinished cells are marked kInterrupted and kept out of
 //               the journal, and the partial report is flagged
 //               "interrupted" so resume re-runs them.
+//   log         the runner's --log stream gets one line per finished cell
+//               (id, label, wall-clock ms, M instr/s), the only place
+//               host timing is reported.
+//
+// SweepSupervisor::run adds, per sweep:
+//
+//   journal     every finished cell appends one line to an append-only
+//               journal and fsyncs before the cell counts as durable; a
+//               killed sweep restarted with resume=true re-runs only the
+//               cells missing from the journal and splices the finished
+//               ones back in, byte-identical to an uninterrupted run. A
+//               torn final line (kill mid-append) is tolerated and counted.
+//   report      the {"schema_version":4,"outcomes":[...]} envelope.
 //
 // Everything that lands in the journal or the merged report is produced by
 // sim::to_deterministic_json, so the report bytes depend only on simulated
@@ -56,10 +64,10 @@ namespace moca::sim {
 
 struct SupervisorOptions {
   /// Per-attempt wall-clock budget in milliseconds; 0 = no deadline (jobs
-  /// can run forever, as under the plain runner).
+  /// can run forever).
   double timeout_ms = 0.0;
   /// Attempts per cell (first try + retries) for RetryableError failures;
-  /// clamped to >= 1. Timeouts and permanent errors never retry.
+  /// 0 runs one attempt, like 1. Timeouts and permanent errors never retry.
   std::uint32_t max_attempts = 3;
   /// Append-only journal path; empty runs without crash safety.
   std::string journal_path;
@@ -82,8 +90,9 @@ struct SupervisorOptions {
   const std::atomic<bool>* interrupt = nullptr;
 };
 
-/// Drives supervised jobs over a SweepRunner pool. The runner reference
-/// must outlive the supervisor.
+/// Drives the cell ladder over a SweepRunner pool and writes its log lines
+/// to the runner's log stream. The runner reference must outlive the
+/// supervisor.
 class SweepSupervisor {
  public:
   SweepSupervisor(SweepRunner& runner, SupervisorOptions options);
@@ -93,7 +102,9 @@ class SweepSupervisor {
 
   struct Result {
     /// Outcomes in submission order. Resumed cells carry only the summary
-    /// fields (job_id, label, ok, kind, attempts; resumed == true).
+    /// fields (job_id, label, ok, kind, attempts; resumed == true), and
+    /// isolated ok cells only result.total_instructions of their result;
+    /// outcome_jsons holds every cell in full.
     std::vector<SweepOutcome> outcomes;
     /// Deterministic merged sweep report,
     /// {"schema_version":N,"outcomes":[...]}: byte-identical for any
@@ -115,8 +126,9 @@ class SweepSupervisor {
   };
 
   /// Runs (or resumes) the sweep. Throws CheckError when the journal is
-  /// unusable: a corrupt non-final line, a cell index out of range, or a
-  /// fingerprint recorded for a different sweep definition. A partial
+  /// unusable: a corrupt non-final line (a bad frame, or a cell or attempts
+  /// number that is not a decimal in range), a cell index out of range, or
+  /// a fingerprint recorded for a different sweep definition. A partial
   /// final line (the crash happened mid-write) is tolerated, counted in
   /// Result::torn_journal_lines, and that cell is re-run.
   [[nodiscard]] Result run(
@@ -124,13 +136,6 @@ class SweepSupervisor {
       const std::map<std::string, core::ClassifiedApp>& db);
 
  private:
-  /// The retry ladder for one cell, either mode. `outcome_json` receives
-  /// an isolated child's verbatim serialization for ok cells (empty
-  /// otherwise: the caller serializes the outcome itself).
-  [[nodiscard]] SweepOutcome supervise_cell(
-      std::size_t cell, const SweepJob& job,
-      const std::map<std::string, core::ClassifiedApp>& db,
-      std::string& outcome_json) const;
   void load_journal(std::size_t job_count,
                     std::vector<std::string>& cached,
                     std::vector<SweepOutcome>& outcomes,

@@ -1,31 +1,17 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/table.h"
 #include "common/work_queue.h"
 #include "workload/suite.h"
 
 namespace moca::sim {
-namespace {
-
-/// Walltime helper; monotonic, host-side only.
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::string to_string(SweepOutcome::FailureKind kind) {
   switch (kind) {
@@ -112,63 +98,10 @@ void SweepRunner::for_each_index(
   throw CheckError(os.str());
 }
 
-std::vector<SweepOutcome> SweepRunner::run(
-    const std::vector<SweepJob>& jobs,
-    const std::map<std::string, core::ClassifiedApp>& db) {
-  std::vector<SweepOutcome> outcomes(jobs.size());
-  std::mutex log_mutex;
-
-  for_each_index(jobs.size(), [&](std::size_t i) {
-    SweepJob job = jobs[i];
-    // Arm cell=n fault clauses against the submission index, matching the
-    // supervisor's isolated path.
-    job.experiment.fault_cell = i;
-    SweepOutcome& out = outcomes[i];
-    out.job_id = i;
-    out.label = job.label;
-    const double start = now_ms();
-    try {
-      // run_workload builds a fresh System/EventQueue and derives every RNG
-      // seed from the job's Experiment — no state shared across jobs.
-      out.result = run_workload(job.apps, job.choice, db, job.experiment);
-      out.ok = true;
-    } catch (const std::exception& e) {
-      out.ok = false;
-      out.kind = SweepOutcome::FailureKind::kFailed;
-      out.error = e.what();
-    }
-    out.wall_ms = now_ms() - start;
-    if (out.ok && out.wall_ms > 0.0) {
-      out.sim_instr_per_sec =
-          static_cast<double>(out.result.total_instructions) /
-          (out.wall_ms * 1e-3);
-    }
-    if (log_ != nullptr) {
-      std::ostringstream line;
-      line << "[sweep] job " << i << '/' << jobs.size();
-      if (!job.label.empty()) line << ' ' << job.label;
-      if (job.label != to_string(job.choice)) {
-        line << ' ' << to_string(job.choice);
-      }
-      if (out.ok) {
-        line << ": " << format_fixed(out.wall_ms, 1) << " ms, "
-             << format_fixed(out.sim_instr_per_sec * 1e-6, 2)
-             << "M instr/s\n";
-      } else {
-        line << ": ERROR " << out.error << '\n';
-      }
-      std::lock_guard lock(log_mutex);
-      (*log_) << line.str() << std::flush;
-    }
-  });
-  return outcomes;
-}
-
 std::map<std::string, core::ClassifiedApp> build_profile_db(
     const std::vector<std::string>& names, const Experiment& experiment,
     SweepRunner& runner) {
-  // Dedup first so each app is profiled exactly once, like the sequential
-  // build_profile_db.
+  // Dedup first so each app is profiled exactly once.
   std::vector<std::string> unique;
   for (const std::string& name : names) {
     bool seen = false;

@@ -7,6 +7,9 @@
 // RNG state from its Experiment seeds, so nothing is shared across threads
 // and results are bit-identical for any worker count (docs/sweep.md).
 //
+// SweepRunner owns the pool; every cell runs through the one per-cell retry
+// ladder in supervisor.cc, which SweepRunner::run drives at the default
+// SupervisorOptions (3 attempts, no deadline, no journal, in-process).
 // Results come back in submission order regardless of completion order, so
 // callers can zip them against their job list. A job that throws is captured
 // per-job (ok == false, error text set); the pool survives and the remaining
@@ -37,13 +40,12 @@ struct SweepJob {
 /// Result of one job, in submission order.
 struct SweepOutcome {
   /// Typed failure classification (docs/robustness.md). kNone for ok
-  /// outcomes; the plain SweepRunner only produces kFailed, the
-  /// SweepSupervisor adds kTimedOut (an attempt overran its wall-clock
-  /// deadline), kQuarantined (retryable error outlived the retry budget)
-  /// and kInterrupted (the sweep was stopped by SIGINT/SIGTERM before this
-  /// cell could finish), and its process-isolated mode adds kCrashed
-  /// (child died by signal) and kOomKilled (child exhausted its memory
-  /// cap).
+  /// outcomes; kFailed for a permanent error, kQuarantined when a
+  /// retryable error outlived the retry budget, kTimedOut when an attempt
+  /// overran its wall-clock deadline, kInterrupted when SIGINT/SIGTERM
+  /// stopped the sweep before this cell could finish; the process-isolated
+  /// mode adds kCrashed (child died by signal) and kOomKilled (child
+  /// exhausted its memory cap).
   enum class FailureKind : std::uint8_t {
     kNone,
     kFailed,
@@ -58,7 +60,7 @@ struct SweepOutcome {
   std::string label;
   bool ok = false;
   FailureKind kind = FailureKind::kNone;
-  /// Attempts consumed (>= 2 only when the supervisor retried the job).
+  /// Attempts consumed (>= 2 only when the ladder retried the job).
   std::uint32_t attempts = 1;
   std::string error;  // what() of the captured exception when !ok
   /// Crash fingerprint, populated only for kCrashed (and kOomKilled when
@@ -70,12 +72,9 @@ struct SweepOutcome {
   /// Valid only when ok. Includes the job's observability payload
   /// (epoch time-series + trace events) when the experiment enabled it;
   /// like every simulated metric it is byte-identical for any worker
-  /// count (docs/observability.md).
+  /// count (docs/observability.md). A cell that ran isolated holds only
+  /// total_instructions here; its full result is in its serialization.
   RunResult result;
-  /// Host-side observability (not part of the simulated metrics; excluded
-  /// from determinism comparisons).
-  double wall_ms = 0.0;
-  double sim_instr_per_sec = 0.0;
   /// True when this cell was not re-run but recovered from a resume
   /// journal (supervised sweeps). Only job_id/label/ok/kind/attempts are
   /// populated then; the full result lives in the journal entry that the
@@ -97,14 +96,19 @@ class SweepRunner {
 
   [[nodiscard]] unsigned workers() const { return workers_; }
 
-  /// When set, one line per finished job (id, label, wall-clock ms,
-  /// simulated instructions/sec) is written to `out`. The stream is locked
-  /// internally; interleaving is line-atomic.
+  /// When set, the cell ladder writes one line per finished cell (id,
+  /// label, wall-clock ms, simulated instructions/sec) to `out` and flushes
+  /// it, on the worker thread that ran the cell. Host timing lives only
+  /// here, never in an outcome. Lines are written whole under a lock.
   void set_log(std::ostream* out) { log_ = out; }
+  [[nodiscard]] std::ostream* log() const { return log_; }
 
-  /// Runs every job and returns outcomes in submission order. `db` provides
-  /// the classification each app runs under (see build_profile_db); apps
-  /// missing from the db run unclassified, exactly like run_workload.
+  /// Runs every job through the cell ladder at the default
+  /// SupervisorOptions and returns outcomes in submission order, without
+  /// serializing anything. `db` provides the classification each app runs
+  /// under (see build_profile_db); apps missing from the db run
+  /// unclassified, exactly like run_workload. Defined in supervisor.cc,
+  /// beside the ladder.
   [[nodiscard]] std::vector<SweepOutcome> run(
       const std::vector<SweepJob>& jobs,
       const std::map<std::string, core::ClassifiedApp>& db);
@@ -130,8 +134,8 @@ class SweepRunner {
 /// Parallel profiling stage: profile_app + classify_for_runtime for every
 /// distinct name in `names`, fanned out on `runner`. Deterministic: each
 /// profile run derives its RNG state from the experiment's train seed and
-/// the app name only, so the db is identical to the sequential
-/// build_profile_db in runner.h.
+/// the app name only, so the db does not depend on the worker count. The
+/// two-argument build_profile_db in runner.h runs this on one worker.
 [[nodiscard]] std::map<std::string, core::ClassifiedApp> build_profile_db(
     const std::vector<std::string>& names, const Experiment& experiment,
     SweepRunner& runner);

@@ -17,13 +17,17 @@ namespace moca {
 namespace {
 
 TEST(Check, ThrowsCheckErrorWithMessage) {
-  // MOCA_CHECK names the failed expression; MOCA_CHECK_MSG's text is the
-  // message alone, with no expression or source location.
+  // MOCA_CHECK names the failed expression and its repository-relative
+  // source location; MOCA_CHECK_MSG's text is the message alone, with no
+  // expression or source location.
   try {
     MOCA_CHECK(1 == 2);
     FAIL() << "expected throw";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(" at tests/common_test.cc:"),
+              std::string::npos)
+        << e.what();
   }
   try {
     MOCA_CHECK_MSG(1 == 2, "value=" << 42);

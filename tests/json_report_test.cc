@@ -111,8 +111,9 @@ TEST(Report, SchemaVersionLeadsEverySerialization) {
   sim::SweepOutcome outcome;
   outcome.ok = true;
   outcome.result = r;
-  EXPECT_NE(sim::to_json(outcome).find("\"schema_version\":4"),
-            std::string::npos);
+  EXPECT_NE(
+      sim::to_deterministic_json(outcome).find("\"schema_version\":4"),
+      std::string::npos);
 }
 
 TEST(Report, MigrationBlockOnlyWhenDaemonRan) {

@@ -228,7 +228,6 @@ TEST(ExperimentOptionsTest, EnvOverlaysEveryKnob) {
   EXPECT_EQ(o.experiment.faults.text(), "job:fail:attempts=1");
   EXPECT_DOUBLE_EQ(o.supervisor.timeout_ms, 2500.0);
   EXPECT_EQ(o.supervisor.max_attempts, 5u);
-  EXPECT_TRUE(o.supervised);
   EXPECT_TRUE(o.supervisor.isolate);
   EXPECT_EQ(o.supervisor.rlimit_as_bytes, 512ull << 20);
   EXPECT_EQ(o.supervisor.rlimit_cpu_seconds, 30u);
@@ -253,7 +252,6 @@ TEST(ExperimentOptionsTest, DefaultsWhenNothingIsSet) {
   EXPECT_TRUE(o.experiment.faults.empty());
   EXPECT_DOUBLE_EQ(o.supervisor.timeout_ms, 0.0);
   EXPECT_EQ(o.supervisor.max_attempts, SupervisorOptions{}.max_attempts);
-  EXPECT_FALSE(o.supervised);
 }
 
 TEST(ExperimentOptionsTest, FlagBeatsEnvOnEveryConflictingKnob) {
@@ -291,7 +289,6 @@ TEST(ExperimentOptionsTest, FlagBeatsEnvOnEveryConflictingKnob) {
   EXPECT_EQ(o.experiment.faults.text(), "alloc:p=0.5");
   EXPECT_DOUBLE_EQ(o.supervisor.timeout_ms, 9000.0);
   EXPECT_EQ(o.supervisor.max_attempts, 7u);
-  EXPECT_TRUE(o.supervised);
   EXPECT_TRUE(o.supervisor.isolate);
   EXPECT_EQ(o.supervisor.rlimit_as_bytes, 200ull << 20);
   EXPECT_EQ(o.supervisor.rlimit_cpu_seconds, 20u);
@@ -458,7 +455,6 @@ TEST(ExperimentOptionsTest, RetriesEnvIsReadAndValidated) {
   setenv("MOCA_SIM_RETRIES", "4", 1);
   const ExperimentOptions o = ExperimentOptions::from_env();
   EXPECT_EQ(o.supervisor.max_attempts, 4u);
-  EXPECT_TRUE(o.supervised);
 
   setenv("MOCA_SIM_RETRIES", "0", 1);
   EXPECT_THROW((void)ExperimentOptions::from_env(), CheckError);

@@ -384,7 +384,7 @@ TEST(FaultInjection, OutcomesAreByteIdenticalAcrossWorkerCounts) {
         << "cell " << i;
   }
   EXPECT_FALSE(a[3].ok);
-  EXPECT_EQ(a[3].kind, sim::SweepOutcome::FailureKind::kFailed);
+  EXPECT_EQ(a[3].kind, sim::SweepOutcome::FailureKind::kQuarantined);
 }
 
 TEST(FaultInjection, OfflineModuleReroutesThenExhaustsLoudly) {
@@ -601,6 +601,35 @@ TEST(Supervised, ResumeRejectsForeignOrCorruptJournals) {
   {
     sim::SweepSupervisor supervisor(runner, options);
     EXPECT_THROW((void)supervisor.run(jobs, {}), CheckError);
+  }
+
+  // A well-framed line (this sweep's fingerprint) whose cell or attempts
+  // number is not a decimal in range is corrupt too: it must neither abort
+  // the process nor wrap to another cell. Each bad line is followed by a
+  // torn tail, so it is not the final line.
+  const std::string frame = R"({"journal_version":1,"fingerprint":")" +
+                            sim::sweep_fingerprint(jobs) + R"(","cell":)";
+  for (const std::string& numbers :
+       {std::string(R"(0,"outcome":{"job_id":0,"ok":false,"kind":"failed",)"
+                    R"("attempts":x,"error":"x"}})"),
+        std::string(R"(0,"outcome":{"job_id":0,"ok":false,"kind":"failed",)"
+                    R"("attempts":99999999999999999999,"error":"x"}})"),
+        std::string(R"(18446744073709551616,"outcome":{"job_id":0,"ok":)"
+                    R"(false,"kind":"failed","attempts":1,"error":"x"}})")}) {
+    {
+      std::ofstream out(corrupt, std::ios::trunc);
+      out << frame << numbers << '\n'
+          << R"({"journal_version":1,"fingerp)";
+    }
+    sim::SweepSupervisor supervisor(runner, options);
+    try {
+      (void)supervisor.run(jobs, {});
+      ADD_FAILURE() << "accepted: " << numbers;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt journal line 1"),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(corrupt.c_str());
 }

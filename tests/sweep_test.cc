@@ -1,23 +1,28 @@
 // SweepRunner determinism and robustness: the parallel engine must produce
 // results that are independent of worker count (byte-identical JSON, same
-// order), survive failing jobs, and handle degenerate shapes (empty job
-// lists, more jobs than workers).
+// order), survive failing jobs, handle degenerate shapes (empty job lists,
+// more jobs than workers), and run every cell through the supervisor's one
+// retry ladder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "common/check.h"
+#include "common/fault_injection.h"
 #include "common/work_queue.h"
 #include "moca/adaptive.h"
 #include "os/migration.h"
 #include "sim/report.h"
 #include "sim/runner.h"
+#include "sim/supervisor.h"
 #include "sim/sweep.h"
 
 namespace moca {
@@ -221,8 +226,6 @@ TEST(SweepRunner, MoreJobsThanWorkers) {
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_TRUE(outcomes[i].ok);
     EXPECT_EQ(outcomes[i].job_id, i);
-    EXPECT_GE(outcomes[i].wall_ms, 0.0);
-    EXPECT_GT(outcomes[i].sim_instr_per_sec, 0.0);
     // Identical jobs must report identical simulated metrics.
     EXPECT_EQ(sim::to_json(outcomes[i].result), first);
   }
@@ -251,9 +254,86 @@ TEST(SweepRunner, FailingJobIsCapturedAndPoolSurvives) {
     }
   }
   // The error report is serializable alongside the good results.
-  const std::string json = sim::to_json(outcomes);
+  const std::string json = sim::to_deterministic_json(outcomes[2]);
   EXPECT_NE(json.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(json.find("\"error\""), std::string::npos);
+  EXPECT_NE(sim::to_deterministic_json(outcomes[0]).find("\"ok\":true"),
+            std::string::npos);
+}
+
+/// SweepRunner::run and SweepSupervisor::run at the default options are one
+/// executor: a healthy cell, a cell that fails every attempt and a cell
+/// with a transient fault end with the same kinds and attempts, and
+/// serialize to the supervisor's bytes, at any worker count.
+TEST(SweepRunner, RunsTheSupervisorLadderAtItsDefaults) {
+  sim::Experiment e;
+  e.instructions = 20'000;
+  std::vector<sim::SweepJob> jobs(3);
+  for (sim::SweepJob& job : jobs) {
+    job.apps = {"gcc"};
+    job.experiment = e;
+  }
+  jobs[0].label = "healthy";
+  jobs[1].label = "failing";
+  jobs[1].experiment.faults = FaultPlan::parse("job:fail");
+  jobs[2].label = "transient";
+  jobs[2].experiment.faults = FaultPlan::parse("job:fail:attempts=1");
+  using Kind = sim::SweepOutcome::FailureKind;
+  const Kind kinds[] = {Kind::kNone, Kind::kQuarantined, Kind::kNone};
+  const std::uint32_t attempts[] = {1, 3, 2};
+
+  for (const unsigned workers : {1u, 4u}) {
+    sim::SweepRunner runner(workers);
+    const std::vector<sim::SweepOutcome> outcomes = runner.run(jobs, {});
+    sim::SweepSupervisor supervisor(runner, {});
+    const sim::SweepSupervisor::Result result = supervisor.run(jobs, {});
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    ASSERT_EQ(result.outcome_jsons.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(sim::to_deterministic_json(outcomes[i]),
+                result.outcome_jsons[i])
+          << jobs[i].label << ", " << workers << " workers";
+      EXPECT_EQ(outcomes[i].kind, kinds[i]) << jobs[i].label;
+      EXPECT_EQ(outcomes[i].attempts, attempts[i]) << jobs[i].label;
+    }
+  }
+}
+
+/// The --log line belongs to the ladder, so a supervised sweep writes one
+/// `[sweep] job i/n` line per finished cell to the runner's log.
+TEST(SweepSupervisor, LogsOneLinePerCell) {
+  sim::Experiment e;
+  e.instructions = 20'000;
+  const std::vector<sim::SweepJob> jobs = sim::cross_product(
+      {{"gcc"}},
+      {sim::SystemChoice::kHomogenDdr3, sim::SystemChoice::kHomogenLpddr2,
+       sim::SystemChoice::kMoca},
+      e);
+  std::ostringstream log;
+  sim::SweepRunner runner(2);
+  runner.set_log(&log);
+  sim::SupervisorOptions options;
+  options.max_attempts = 2;
+  sim::SweepSupervisor supervisor(runner, options);
+  const sim::SweepSupervisor::Result result = supervisor.run(jobs, {});
+
+  std::vector<std::string> lines;
+  std::istringstream in(log.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), jobs.size()) << log.str();
+  std::sort(lines.begin(), lines.end());  // workers finish in any order
+  // An ok cell's line ends with its host timing: wall ms, then M instr/s.
+  const std::regex timing(
+      R"(: ([0-9]+\.[0-9]) ms, ([0-9]+\.[0-9]{2})M instr/s$)");
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_TRUE(result.outcomes[i].ok) << result.outcomes[i].error;
+    EXPECT_TRUE(lines[i].starts_with("[sweep] job " + std::to_string(i) +
+                                     "/" + std::to_string(jobs.size())))
+        << lines[i];
+    std::smatch match;
+    ASSERT_TRUE(std::regex_search(lines[i], match, timing)) << lines[i];
+    EXPECT_GT(std::stod(match[2].str()), 0.0) << lines[i];
+  }
 }
 
 TEST(SweepRunner, WorkerCountResolution) {

@@ -7,9 +7,9 @@ CI smoke for the observability + robustness layers. Three modes:
       single run-result report (moca_cli run --json)
   tools/check_report.py sweep.json --sweep [--expect-cells N]
       [--expect-kind kind=N]...
-      supervised sweep report (moca_cli compare/sweep --json with
-      supervision): schema envelope, typed failure kinds, attempts fields,
-      crash fingerprints, the interrupted-envelope rule
+      sweep report (moca_cli compare/sweep --json): schema envelope,
+      typed failure kinds, attempts fields, crash fingerprints, the
+      interrupted-envelope rule
   tools/check_report.py sweep.jsonl --journal [--expect-cells N]
       supervised-sweep resume journal: one framed entry per line, a
       consistent fingerprint, outcome payloads shaped like sweep outcomes

@@ -9,13 +9,18 @@
 //   moca_cli replay <trace.trc> [--system S] [--config 1|2|3] [--instr N]
 //
 // Systems: ddr3, lp, rl, hbm, heter-app, moca, migration.
+//
+// `compare` and `sweep` run every cell through the supervisor's retry
+// ladder (sim/supervisor.h) and catch SIGINT/SIGTERM; the supervision
+// knobs only change the ladder's options. Their text output is one metrics
+// table with status and attempts columns, and --json prints the schema-v4
+// sweep envelope {"schema_version":4,"outcomes":[...]}.
 #include <csignal>
 
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -50,7 +55,7 @@ const std::vector<sim::FlagSpec>& cli_flags() {
   return kFlags;
 }
 
-// Graceful SIGINT/SIGTERM for supervised sweeps: the handler only flips
+// Graceful SIGINT/SIGTERM for compare/sweep: the handler only flips
 // these flags; running cells stop at their next System::run poll
 // (in-process) or are SIGKILLed (isolated), the journal stays consistent
 // (every fsynced line stays valid) and the CLI then emits a partial
@@ -224,12 +229,29 @@ int cmd_run(const ParsedArgs& args) {
   return 0;
 }
 
-/// Shared supervised-sweep driver (compare/sweep): signal handlers on,
-/// supervisor run, report or table out, interrupt mapped to 128+signal.
-int run_supervised_sweep(
-    const ParsedArgs& args, const sim::ExperimentOptions& options,
-    sim::SweepRunner& runner, const std::vector<sim::SweepJob>& jobs,
-    const std::map<std::string, core::ClassifiedApp>& db) {
+/// Appends cell i's metric columns to its row; called only when results[i]
+/// is set. `results` holds every cell's RunResult, null where it is not in
+/// this process, for metrics relative to another cell.
+using MetricCells = void (*)(Table&,
+                             const std::vector<const sim::RunResult*>& results,
+                             std::size_t i);
+
+/// The body shared by compare and sweep: profiles the apps, runs every cell
+/// through the supervisor's retry ladder with the interrupt flag armed,
+/// prints the sweep report (--json) or a table of label, status, attempts
+/// and `metric_columns`, and maps an interrupt to 128+signal.
+int run_supervised_sweep(const ParsedArgs& args,
+                         const sim::ExperimentOptions& options,
+                         const std::vector<sim::SweepJob>& jobs,
+                         const std::string& label_column,
+                         const std::vector<std::string>& metric_columns,
+                         MetricCells metrics) {
+  // Install before the profiling phase so a SIGINT at any point after
+  // startup is caught; a pre-sweep interrupt marks every cell interrupted.
+  install_interrupt_handlers();
+  sim::SweepRunner runner = options.make_runner();
+  const auto db =
+      sim::build_profile_db(args.positional, options.experiment, runner);
   sim::SupervisorOptions sup_options = options.supervisor;
   sup_options.interrupt = &g_interrupt;
   sim::SweepSupervisor supervisor(runner, sup_options);
@@ -237,8 +259,22 @@ int run_supervised_sweep(
   if (args.has("json")) {
     std::cout << result.report << '\n';
   } else {
-    Table t({"cell", "status", "attempts"});
+    // A RunResult is in memory only for an ok cell that ran in this
+    // process: a cell recovered from a journal carries only its status, an
+    // isolated one only its instruction count.
+    std::vector<const sim::RunResult*> results;
+    std::size_t without_metrics = 0;
     for (const sim::SweepOutcome& outcome : result.outcomes) {
+      const bool in_memory =
+          outcome.ok && !outcome.resumed && !sup_options.isolate;
+      results.push_back(in_memory ? &outcome.result : nullptr);
+      if (outcome.ok && !in_memory) ++without_metrics;
+    }
+    std::vector<std::string> header = {label_column, "status", "attempts"};
+    header.insert(header.end(), metric_columns.begin(), metric_columns.end());
+    Table t(std::move(header));
+    for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
+      const sim::SweepOutcome& outcome = result.outcomes[i];
       std::string status =
           outcome.ok ? std::string("ok") : sim::to_string(outcome.kind);
       if (outcome.crash_signal != 0) {
@@ -249,11 +285,13 @@ int run_supervised_sweep(
           .cell(outcome.label)
           .cell(status)
           .cell(static_cast<std::uint64_t>(outcome.attempts));
+      if (results[i] != nullptr) metrics(t, results, i);
     }
     t.print(std::cout);
-    if (result.resumed_cells > 0) {
-      std::cout << result.resumed_cells
-                << " cells recovered from the journal\n";
+    if (without_metrics > 0) {
+      std::cout << without_metrics
+                << " ok cells ran isolated or were recovered from the "
+                   "journal: their metrics are in the --json report\n";
     }
   }
   // Operational notes go to stderr so --json output stays a clean pipe.
@@ -273,57 +311,28 @@ int run_supervised_sweep(
 int cmd_compare(const ParsedArgs& args) {
   MOCA_CHECK_MSG(!args.positional.empty(), "compare needs apps");
   const sim::ExperimentOptions options = options_from(args);
-  // Install before the profiling phase so a SIGINT at any point after
-  // startup is caught; a pre-sweep interrupt marks every cell interrupted.
-  if (options.supervised) install_interrupt_handlers();
-  const sim::Experiment& e = options.experiment;
-  sim::SweepRunner runner = options.make_runner();
-  const auto db = sim::build_profile_db(args.positional, e, runner);
 
   // All six systems on the worker pool; outcomes come back in submission
   // order so the DDR3 baseline is always outcomes[0].
-  std::vector<sim::SweepJob> jobs;
-  for (const sim::SystemChoice choice : sim::all_system_choices()) {
-    sim::SweepJob job;
-    job.apps = args.positional;
-    job.choice = choice;
-    job.experiment = e;
-    job.label = sim::to_string(choice);
-    jobs.push_back(std::move(job));
-  }
-  // Supervision knobs (--timeout-ms/--retries/--journal/--resume) route
-  // the sweep through the supervisor: per-attempt wall-clock deadline,
-  // retry/quarantine and the crash-safe journal (docs/robustness.md).
-  if (options.supervised) {
-    return run_supervised_sweep(args, options, runner, jobs, db);
-  }
-
-  const std::vector<sim::SweepOutcome> outcomes = runner.run(jobs, db);
-  if (args.has("json")) {
-    std::cout << sim::to_json(outcomes) << '\n';
-    return 0;
-  }
-
-  Table t({"system", "mem time (norm)", "mem EDP (norm)",
-           "system EDP (norm)"});
-  double bt = 0, be = 0, bs = 0;
-  for (const sim::SweepOutcome& outcome : outcomes) {
-    MOCA_CHECK_MSG(outcome.ok, "job " << outcome.label
-                                      << " failed: " << outcome.error);
-    const sim::RunResult& r = outcome.result;
-    if (jobs[outcome.job_id].choice == sim::SystemChoice::kHomogenDdr3) {
-      bt = static_cast<double>(r.total_mem_access_time);
-      be = r.memory_edp();
-      bs = r.system_edp();
-    }
-    t.row()
-        .cell(outcome.label)
-        .cell(static_cast<double>(r.total_mem_access_time) / bt, 3)
-        .cell(r.memory_edp() / be, 3)
-        .cell(r.system_edp() / bs, 3);
-  }
-  t.print(std::cout);
-  return 0;
+  std::vector<sim::SweepJob> jobs = sim::cross_product(
+      {args.positional}, sim::all_system_choices(), options.experiment);
+  for (sim::SweepJob& job : jobs) job.label = sim::to_string(job.choice);
+  // Normalized to Homogen-DDR3; the columns stay empty when it has none.
+  const MetricCells normalized =
+      [](Table& t, const std::vector<const sim::RunResult*>& results,
+         std::size_t i) {
+        if (results[0] == nullptr) return;
+        const sim::RunResult& base = *results[0];
+        const sim::RunResult& r = *results[i];
+        t.cell(static_cast<double>(r.total_mem_access_time) /
+                   static_cast<double>(base.total_mem_access_time),
+               3)
+            .cell(r.memory_edp() / base.memory_edp(), 3)
+            .cell(r.system_edp() / base.system_edp(), 3);
+      };
+  return run_supervised_sweep(
+      args, options, jobs, "system",
+      {"mem time (norm)", "mem EDP (norm)", "system EDP (norm)"}, normalized);
 }
 
 /// `sweep <app>... [--systems S,S,...]`: the full apps x systems grid, one
@@ -334,8 +343,6 @@ int cmd_compare(const ParsedArgs& args) {
 int cmd_sweep(const ParsedArgs& args) {
   MOCA_CHECK_MSG(!args.positional.empty(), "sweep needs at least one app");
   const sim::ExperimentOptions options = options_from(args);
-  if (options.supervised) install_interrupt_handlers();
-  const sim::Experiment& e = options.experiment;
 
   std::vector<sim::SystemChoice> systems;
   if (args.has("systems")) {
@@ -354,43 +361,26 @@ int cmd_sweep(const ParsedArgs& args) {
     }
   }
 
-  sim::SweepRunner runner = options.make_runner();
-  const auto db = sim::build_profile_db(args.positional, e, runner);
-  std::vector<sim::SweepJob> jobs;
-  for (const std::string& app : args.positional) {
-    for (const sim::SystemChoice choice : systems) {
-      sim::SweepJob job;
-      job.apps = {app};
-      job.choice = choice;
-      job.experiment = e;
-      job.label = app + "/" + sim::to_string(choice);
-      jobs.push_back(std::move(job));
-    }
+  std::vector<std::vector<std::string>> workloads;
+  for (const std::string& app : args.positional) workloads.push_back({app});
+  std::vector<sim::SweepJob> jobs =
+      sim::cross_product(workloads, systems, options.experiment);
+  for (sim::SweepJob& job : jobs) {
+    job.label = job.apps.front() + "/" + sim::to_string(job.choice);
   }
-
-  if (options.supervised) {
-    return run_supervised_sweep(args, options, runner, jobs, db);
-  }
-  const std::vector<sim::SweepOutcome> outcomes = runner.run(jobs, db);
-  if (args.has("json")) {
-    std::cout << sim::to_json(outcomes) << '\n';
-    return 0;
-  }
-  Table t({"cell", "mem time (us)", "mem EDP (nJ*s)", "IPC"});
-  for (const sim::SweepOutcome& outcome : outcomes) {
-    MOCA_CHECK_MSG(outcome.ok, "job " << outcome.label
-                                      << " failed: " << outcome.error);
-    const sim::RunResult& r = outcome.result;
-    double ipc = 0.0;
-    for (const sim::CoreResult& c : r.cores) ipc += c.core.ipc();
-    t.row()
-        .cell(outcome.label)
-        .cell(static_cast<double>(r.total_mem_access_time) * 1e-6, 1)
-        .cell(r.memory_edp() * 1e9, 4)
-        .cell(ipc, 2);
-  }
-  t.print(std::cout);
-  return 0;
+  const MetricCells absolute =
+      [](Table& t, const std::vector<const sim::RunResult*>& results,
+         std::size_t i) {
+        const sim::RunResult& r = *results[i];
+        double ipc = 0.0;
+        for (const sim::CoreResult& c : r.cores) ipc += c.core.ipc();
+        t.cell(static_cast<double>(r.total_mem_access_time) * 1e-6, 1)
+            .cell(r.memory_edp() * 1e9, 4)
+            .cell(ipc, 2);
+      };
+  return run_supervised_sweep(args, options, jobs, "cell",
+                              {"mem time (us)", "mem EDP (nJ*s)", "IPC"},
+                              absolute);
 }
 
 int cmd_record(const ParsedArgs& args) {
@@ -516,6 +506,8 @@ int usage() {
          "  compare <app>... [--instr N] [--jobs N] [--log] [--json]\n"
          "  sweep <app>... [--systems S,S,...] [--instr N] [--json]\n"
          "                 apps x systems grid, one cell per pair\n"
+         "    compare/sweep print one row per cell with its status and\n"
+         "    attempts; --json prints the schema-v4 sweep report\n"
          "  record <app> --out F [--ops N] [--classify]\n"
          "  profile-file <spec.app> [--instr N]      custom workload file\n"
          "  run-file <spec.app> [--system S] [--json]\n"
@@ -531,17 +523,17 @@ int usage() {
          "  [--adaptive S]    phase-adaptive object reclassification;\n"
          "                    S = on|off|key=value,... e.g.\n"
          "                    'epoch=50000,window=4,residency=3,margin=0.25'\n"
-         "  compare/sweep: [--timeout-ms N] [--retries N] [--journal F]\n"
-         "                [--resume F] run the sweep supervised (per-attempt\n"
-         "                deadline, retry/quarantine, crash-safe resume\n"
-         "                journal)\n"
+         "sweeps (compare/sweep; every cell runs one retry ladder):\n"
+         "  [--timeout-ms N]  per-attempt wall-clock deadline (default none)\n"
+         "  [--retries N]     attempts for retryable faults (default 3)\n"
+         "  [--journal F] / [--resume F]  crash-safe resume journal\n"
          "  [--isolate]       fork each cell into its own process: crashes\n"
          "                    and OOM kills quarantine one cell, survivors\n"
-         "                    merge byte-identically\n"
+         "                    merge byte-identically (metrics: --json only)\n"
          "  [--rlimit-as-mb N] / [--rlimit-cpu-s N]  per-child address-space\n"
          "                    / CPU caps (imply --isolate)\n"
-         "  SIGINT/SIGTERM during a supervised sweep flushes the journal,\n"
-         "  emits a partial report marked interrupted and exits 128+signal.\n"
+         "  SIGINT/SIGTERM during compare/sweep flushes the journal, emits\n"
+         "  a partial report marked interrupted and exits 128+signal.\n"
          "Every knob also reads MOCA_SIM_{INSTR,WARMUP,CONFIG,EPOCH,TRACE,"
          "JOBS,\n"
          "FAULTS,TIMEOUT_MS,RETRIES,ISOLATE,RLIMIT_AS_MB,RLIMIT_CPU_S,\n"
